@@ -16,12 +16,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from ._rng import derive_seed, generator
@@ -37,7 +35,7 @@ from .ldp import compile_sq_to_ldp, ldp_batch_size
 from .lowerbound import HypothesisSet, correlation_cover_check, \
     run_shipped_negation_demo, solve_lp, table_function
 from .margin_learner import jl_dim, jl_project, learn_halfspace
-from .schemas import SCHEMAS, validate_artifact, validate_config
+from .schemas import validate, validate_artifact, validate_config
 from .sq import ExactOracle, StatQuery
 
 __all__ = ["ExperimentConfig", "CheckFailure", "run", "main",
@@ -191,12 +189,6 @@ def _emit_transcript(outdir: Path, entries: list) -> Path:
 def _transcript_entries(transcript) -> list:
     return [json.loads(line) for line in
             transcript.to_jsonl().splitlines() if line.strip()]
-
-
-def _run_trials(fn, n: int) -> list:
-    """Map fn over trial indices concurrently; results in index order."""
-    with ThreadPoolExecutor(max_workers=min(8, max(1, n))) as pool:
-        return list(pool.map(fn, range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +425,7 @@ def _cmd_estimate_mean(cfg: ExperimentConfig) -> None:
         )
         return max(abs(a - t) for a, t in zip(answers, truth))
 
-    deviations = _run_trials(trial, cfg.trials)
+    deviations = [trial(i) for i in range(cfg.trials)]
     failures = sum(1 for dev in deviations if dev > cfg.tau)
     fraction = failures / cfg.trials
     report = {
@@ -502,11 +494,8 @@ def _separable_patterns(points) -> list:
 
 def _load_explicit_class(path: str):
     obj = json.loads(Path(path).read_text())
-    try:
-        jsonschema.validate(obj, SCHEMAS["explicit_class"])
-    except jsonschema.ValidationError as e:
-        raise PreconditionError(
-            f"invalid explicit class file: {e.message}") from e
+    validate("explicit_class", obj, PreconditionError,
+             "invalid explicit class file: ")
     points = tuple(Point(np.asarray(row, dtype=float))
                    for row in obj["support"])
     targets = [Explicit.from_support(points, labels)
@@ -616,7 +605,7 @@ def _cmd_jl_check(cfg: ExperimentConfig) -> None:
         margins = (mapped.dist.matrix @ (image / norm)) * src.labels
         return float(np.mean(margins < cfg.gamma / 2.0))
 
-    fractions = _run_trials(trial, cfg.trials)
+    fractions = [trial(i) for i in range(cfg.trials)]
     ok_count = sum(1 for f in fractions if f <= cfg.delta)
     ok_fraction = ok_count / cfg.trials
     report = {

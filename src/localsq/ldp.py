@@ -160,13 +160,14 @@ class PrivacyLedger:
             raise PreconditionError("charge must be nonnegative")
         if not 0 <= start < stop:
             raise PreconditionError("empty or negative span")
-        worst = 0.0
-        for s, t, a in self._spans:
-            if s < stop and start < t:
-                worst = max(worst, a)
-        for i, a in self._single.items():
-            if start <= i < stop:
-                worst = max(worst, self.spent(i))
+        overlap = [(s, t, a) for s, t, a in self._spans
+                   if s < stop and start < t]
+        # Summed spend peaks at an overlapping span's start or a single charge.
+        points = {start} | {s for s, _, _ in overlap if s > start} | {
+            i for i in self._single if start <= i < stop}
+        worst = max(self._single.get(i, 0.0)
+                    + sum(a for s, t, a in overlap if s <= i < t)
+                    for i in points)
         if worst + amount > self.cap + CHARGE_TOL:
             raise BudgetExceeded(
                 f"span [{start}, {stop}): spending {amount:.6g} over existing "

@@ -9,6 +9,7 @@ bug surfaced at emission time, not in a downstream consumer.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import jsonschema
 
 from .errors import ContractViolation, PreconditionError
 
-__all__ = ["SCHEMAS", "validate_artifact", "validate_config", "write_docs"]
+__all__ = ["SCHEMAS", "validate", "validate_artifact", "validate_config",
+           "write_docs"]
 
 _NUM = {"type": "number"}
 _BOOL = {"type": "boolean"}
@@ -282,24 +284,32 @@ SCHEMAS = {
 _DIALECT = "https://json-schema.org/draft/2020-12/schema"
 
 
+@functools.cache
+def _validator(name: str):
+    """The named schema's validator, meta-checked once on first use."""
+    cls = jsonschema.validators.validator_for(SCHEMAS[name])
+    cls.check_schema(SCHEMAS[name])
+    return cls(SCHEMAS[name])
+
+
+def validate(name: str, obj, error: type, prefix: str) -> None:
+    """Raise error(prefix + jsonschema.validate's message) on a mismatch."""
+    found = jsonschema.exceptions.best_match(_validator(name).iter_errors(obj))
+    if found is not None:
+        raise error(prefix + found.message) from found
+
+
 def validate_artifact(name: str, obj) -> None:
     """Check an about-to-be-emitted object; a mismatch is an internal bug."""
     if name not in SCHEMAS:
         raise PreconditionError(f"no schema named {name!r}")
-    try:
-        jsonschema.validate(obj, SCHEMAS[name])
-    except jsonschema.ValidationError as e:
-        raise ContractViolation(
-            f"artifact does not match the {name} schema: {e.message}"
-        ) from e
+    validate(name, obj, ContractViolation,
+             f"artifact does not match the {name} schema: ")
 
 
 def validate_config(obj) -> None:
     """Check user-supplied configuration; a mismatch is a usage error."""
-    try:
-        jsonschema.validate(obj, SCHEMAS["config"])
-    except jsonschema.ValidationError as e:
-        raise PreconditionError(f"invalid config: {e.message}") from e
+    validate("config", obj, PreconditionError, "invalid config: ")
 
 
 def write_docs(root) -> list:

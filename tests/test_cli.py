@@ -14,8 +14,8 @@ import jsonschema
 import pytest
 
 from localsq.cli import ExperimentConfig, main, separation_experiment
-from localsq.errors import PreconditionError
-from localsq.schemas import SCHEMAS, validate_artifact
+from localsq.errors import ContractViolation, PreconditionError
+from localsq.schemas import SCHEMAS, validate_artifact, validate_config
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -391,3 +391,63 @@ class TestSchemaDocs:
     def test_schemas_are_valid_jsonschema(self):
         for name, schema in SCHEMAS.items():
             jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def jsonschema_message(name, obj):
+    """The message jsonschema.validate gives for obj against a schema."""
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(obj, SCHEMAS[name])
+    return info.value.message
+
+
+# Each object breaks its schema in more than one place, so the reported
+# error is the one jsonschema's best_match picks.
+MALFORMED = {
+    "transcript_entry": {"round": -1, "label_dep": "yes", "answer": 0.5},
+    "halfspace_report": {"command": "learn-halfspace", "seed": "7",
+                         "protocol": {"rounds": 1}},
+    "config": {"command": "learn-halfspace", "gamma": 1.5, "colour": 1},
+    "explicit_class": {"support": [[0.5]], "targets": [[2]], "extra": 0},
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("name", ["transcript_entry", "halfspace_report"])
+    def test_malformed_artifact_refused_as_before(self, name):
+        expected = jsonschema_message(name, MALFORMED[name])
+        with pytest.raises(ContractViolation) as info:
+            validate_artifact(name, MALFORMED[name])
+        assert str(info.value) == (
+            f"artifact does not match the {name} schema: {expected}")
+
+    def test_malformed_config_refused_as_before(self):
+        expected = jsonschema_message("config", MALFORMED["config"])
+        with pytest.raises(PreconditionError) as info:
+            validate_config(MALFORMED["config"])
+        assert str(info.value) == f"invalid config: {expected}"
+
+    def test_malformed_explicit_class_refused_as_before(self, tmp_path,
+                                                         capsys):
+        expected = jsonschema_message("explicit_class",
+                                      MALFORMED["explicit_class"])
+        spec = tmp_path / "class.json"
+        spec.write_text(json.dumps(MALFORMED["explicit_class"]))
+        assert main(["adversary-demo", "--class", f"explicit:{spec}",
+                     "--out", str(tmp_path / "adv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid explicit class file: {expected}\n")
+
+    def test_schema_checked_at_most_once(self, monkeypatch):
+        calls = []
+        original = jsonschema.Draft202012Validator.check_schema
+
+        def counting(schema, *args, **kwargs):
+            calls.append(schema)
+            return original(schema, *args, **kwargs)
+
+        monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
+                            counting)
+        entry = {"round": 0, "label_dep": False, "tau": 0.1, "answer": 0.5}
+        for _ in range(5):
+            validate_artifact("transcript_entry", entry)
+        assert len(calls) <= 1

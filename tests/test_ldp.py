@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localsq.core import (
@@ -212,19 +212,36 @@ class TestPrivacyLedger:
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, 8), st.sampled_from([0.3, 0.5, 0.9, 1.1])),
+            st.tuples(st.integers(1, 5), st.integers(0, 8),
+                      st.sampled_from([0.3, 0.5, 0.9, 1.1])),
             max_size=25,
         )
     )
-    @settings(max_examples=60, deadline=None)
+    @example([(10, 0, 0.5)] * 3)  # stacked spans, each below the cap
+    @settings(max_examples=100, deadline=None)
     def test_no_sequence_can_exceed_cap(self, calls):
+        # Single charges (width 1) mixed with span charges, against a
+        # brute-force per-index model: a call is refused exactly when some
+        # index it covers would go over the cap, and then records nothing.
         ledger = PrivacyLedger(cap=1.0)
-        for i, amount in calls:
+        model = [0.0] * 16
+        for width, i, amount in calls:
+            covered = range(i, i + width)
+            refuse = any(model[j] + amount > 1.0 + 1e-12 for j in covered)
             try:
-                ledger.charge(i, amount)
+                if width == 1:
+                    ledger.charge(i, amount)
+                else:
+                    ledger.charge_span(i, i + width, amount)
             except BudgetExceeded:
-                pass
-            assert ledger.spent(i) <= 1.0 + 1e-9
+                assert refuse
+            else:
+                assert not refuse
+                for j in covered:
+                    model[j] += amount
+            for j, spent in enumerate(model):
+                assert ledger.spent(j) == pytest.approx(spent)
+                assert ledger.spent(j) <= 1.0 + 1e-9
 
 
 class TestLdpEstimateMean:
