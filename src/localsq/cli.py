@@ -34,7 +34,7 @@ from .errors import LocalSqError, PreconditionError, ProtocolError, \
 from .ldp import compile_sq_to_ldp, ldp_batch_size
 from .lowerbound import HypothesisSet, correlation_cover_check, \
     run_shipped_negation_demo, solve_lp, table_function
-from .margin_learner import jl_dim, jl_project, learn_halfspace
+from .margin_learner import jl_dim, jl_map, learn_halfspace
 from .schemas import validate, validate_artifact, validate_config
 from .sq import ExactOracle, StatQuery
 
@@ -596,13 +596,13 @@ def _cmd_jl_check(cfg: ExperimentConfig) -> None:
     def trial(i: int) -> float:
         src = make_margin_source(cfg.dim, cfg.gamma, cfg.support,
                                  derive_seed(cfg.seed, "jl-source", i))
-        proj, mapped = jl_project(src, cfg.gamma, cfg.delta,
-                                  derive_seed(cfg.seed, "jl-map", i))
+        proj = jl_map(src.dim, cfg.gamma, cfg.delta,
+                      derive_seed(cfg.seed, "jl-map", i))
         image = proj.matrix @ src.target.w
         norm = float(np.linalg.norm(image))
         if norm == 0.0:
             return 1.0
-        margins = (mapped.dist.matrix @ (image / norm)) * src.labels
+        margins = (proj.apply(src.dist.matrix) @ (image / norm)) * src.labels
         return float(np.mean(margins < cfg.gamma / 2.0))
 
     fractions = [trial(i) for i in range(cfg.trials)]

@@ -23,7 +23,8 @@ from .errors import (
     PreconditionError,
     SizingError,
 )
-from .ldp import PrivacyLedger, _resolve_batch
+from .ldp import PrivacyLedger, _coordinate_batches, _resolve_batch
+from .sq import checked_values
 
 RANGE_TOL = 1e-12
 
@@ -95,17 +96,15 @@ def comm_invoke(ledger: BitLedger, S, i: int, R: BitExtractor,
 
 
 def comm_estimate_mean(S, indices, phi, seed: int) -> float:
-    """Mean of debiased one-bit extractions over the batch, clamped to [-1,1]."""
+    """Mean of debiased one-bit extractions over the batch, clamped to [-1,1].
+
+    phi is a query fn, or its values already evaluated on the batch rows.
+    """
     X, y, counts = _resolve_batch(S, indices)
     n = int(counts.sum())
     if n < 1:
         raise PreconditionError("empty batch")
-    values = np.asarray(phi(X, y), dtype=float)
-    if values.shape != y.shape:
-        raise ContractViolation("query fn returned a wrong-shaped batch")
-    worst = float(np.max(np.abs(values))) if values.size else 0.0
-    if worst > 1.0 + RANGE_TOL:
-        raise ContractViolation(f"query value {worst:.6g} outside [-1, 1]")
+    values = checked_values(phi(X, y) if callable(phi) else phi, y.shape)
     p_one = (1.0 + values) / 2.0
     rng = generator(seed)
     ones = rng.binomial(counts, p_one)
@@ -159,30 +158,32 @@ def compile_sq_to_comm(driver, S, tau: float, delta: float,
     round_index = 0
     queries = list(driver.begin())
     while queries:
-        if query_index + len(queries) > t:
+        if query_index + sum(q.width for q in queries) > t:
             raise BudgetExceeded(
                 f"driver exceeded its declared bound of {t} queries"
             )
         answers = []
         names = []
         for q in queries:
-            span = (cursor, cursor + batch)
-            ledger.charge_span(cursor, cursor + batch, 1.0)
-            est = comm_estimate_mean(
-                S, span, q.fn, derive_seed(seed, "comm-query", query_index)
-            )
-            answers.append(est)
-            names.append(q.name or f"q{query_index}")
-            report.queries.append(
-                {
-                    "round": round_index,
-                    "label_dep": q.label_dependent,
-                    "tau": tau,
-                    "answer": est,
-                }
-            )
-            cursor += batch
-            query_index += 1
+            for j, (span, values) in enumerate(
+                    _coordinate_batches(S, q, cursor, batch)):
+                ledger.charge_span(span.start, span.stop, 1.0)
+                est = comm_estimate_mean(
+                    S, span, values,
+                    derive_seed(seed, "comm-query", query_index),
+                )
+                answers.append(est)
+                names.append(q.coordinate_name(j) or f"q{query_index}")
+                report.queries.append(
+                    {
+                        "round": round_index,
+                        "label_dep": q.label_dependent,
+                        "tau": tau,
+                        "answer": est,
+                    }
+                )
+                cursor += batch
+                query_index += 1
         report.per_round_extractors.append(names)
         nxt = driver.feed(answers)
         round_index += 1

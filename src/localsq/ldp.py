@@ -19,14 +19,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._rng import derive_seed, generator
-from .core import counts_view
+from .core import SampleStream, counts_view
 from .errors import (
     BudgetExceeded,
     ContractViolation,
     PreconditionError,
     SizingError,
 )
-from .sq import StatQuery
+from .sq import StatQuery, checked_values, evaluate_block
 
 RANGE_TOL = 1e-12
 CHARGE_TOL = 1e-12
@@ -190,33 +190,55 @@ def lr_invoke(ledger: PrivacyLedger, S, i: int, R: LocalRandomizer,
 
 
 def _resolve_batch(S, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, labels, multiplicities for a batch given as a span or index list."""
-    if isinstance(indices, tuple) and len(indices) == 2:
-        return counts_view(S, int(indices[0]), int(indices[1]))
+    """Rows, labels, multiplicities for a batch.
+
+    A range is the span [start, stop); any other sequence lists indices
+    into a materialized dataset.
+    """
+    if isinstance(indices, range):
+        if indices.step != 1:
+            raise PreconditionError("a batch span must have step 1")
+        return counts_view(S, indices.start, indices.stop)
+    if isinstance(S, SampleStream):
+        raise PreconditionError("a sample stream is read by spans only")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         raise PreconditionError("empty batch")
     return S.X[idx], S.y[idx], np.ones(idx.size, dtype=np.int64)
 
 
+def _coordinate_batches(S, q: StatQuery, start: int, batch: int) -> list:
+    """(span, values) for each coordinate of q on its own fresh batch.
+
+    Coordinate j gets the span [start + j*batch, start + (j+1)*batch) and
+    q's column j on that span's rows. A SampleStream realizes every batch
+    on the same support rows, so the block is evaluated there once; any
+    other sample set is evaluated on each coordinate's own rows.
+    """
+    spans = [range(start + j * batch, start + (j + 1) * batch)
+             for j in range(q.width)]
+    if isinstance(S, SampleStream):
+        block = evaluate_block(q, S.source.dist.matrix, S.source.labels)
+        return [(span, block[:, j]) for j, span in enumerate(spans)]
+    return [(span, evaluate_block(q, *_resolve_batch(S, span)[:2])[:, j])
+            for j, span in enumerate(spans)]
+
+
 def ldp_estimate_mean(S, indices, phi, epsilon: float, seed: int) -> float:
     """Estimate E[phi] from one randomized-response bit per batch sample.
 
-    Returns clamp(sum(o_i) / (c n), -1, 1); the pre-clamp estimate is
-    unbiased. Rows with multiplicity k contribute a Binomial(k, p) count of
-    +1 messages, identical in distribution to k independent clients.
+    phi is a query fn, or its values already evaluated on the batch rows
+    (the support rows for a SampleStream). Returns clamp(sum(o_i) / (c n),
+    -1, 1); the pre-clamp estimate is unbiased. Rows with multiplicity k
+    contribute a Binomial(k, p) count of +1 messages, identical in
+    distribution to k independent clients.
     """
     X, y, counts = _resolve_batch(S, indices)
     n = int(counts.sum())
     if n < 1:
         raise PreconditionError("empty batch")
     c = rr_coefficient(epsilon)
-    values = np.asarray(phi(X, y), dtype=float)
-    if values.shape != y.shape:
-        raise ContractViolation("query fn returned a wrong-shaped batch")
-    worst = float(np.max(np.abs(values))) if values.size else 0.0
-    if worst > 1.0 + RANGE_TOL:
-        raise ContractViolation(f"query value {worst:.6g} outside [-1, 1]")
+    values = checked_values(phi(X, y) if callable(phi) else phi, y.shape)
     p_plus = 0.5 + c * values / 2.0
     rng = generator(seed)
     plus = rng.binomial(counts, p_plus)
@@ -251,13 +273,13 @@ def compile_sq_to_ldp(driver, S, epsilon: float, tau: float, delta: float,
                       seed: int = 0) -> tuple[object, LdpProtocolReport]:
     """Run an SQ driver against locally-randomized fresh-batch estimates.
 
-    Every query is answered by ldp_estimate_mean on its own contiguous batch
-    of previously-untouched samples, so each client is randomized exactly
-    once and the whole run is epsilon-locally-private. Budgeting reserves
-    driver.max_queries batches up front; with probability at least 1 - delta
-    every answer is within tau of the true mean. The report preserves the
-    driver's round structure: a driver that asks everything at once compiles
-    to a one-round protocol.
+    Every query coordinate is answered by ldp_estimate_mean on its own
+    contiguous batch of previously-untouched samples, so each client is
+    randomized exactly once and the whole run is epsilon-locally-private.
+    Budgeting reserves driver.max_queries batches up front; with probability
+    at least 1 - delta every answer is within tau of the true mean. The
+    report preserves the driver's round structure: a driver that asks
+    everything at once compiles to a one-round protocol.
     """
     t = int(driver.max_queries)
     batch = ldp_batch_size(t, tau, delta, epsilon)
@@ -276,31 +298,32 @@ def compile_sq_to_ldp(driver, S, epsilon: float, tau: float, delta: float,
     round_index = 0
     queries = list(driver.begin())
     while queries:
-        if query_index + len(queries) > t:
+        if query_index + sum(q.width for q in queries) > t:
             raise BudgetExceeded(
                 f"driver exceeded its declared bound of {t} queries"
             )
         answers = []
         names = []
         for q in queries:
-            span = (cursor, cursor + batch)
-            ledger.charge_span(cursor, cursor + batch, epsilon)
-            est = ldp_estimate_mean(
-                S, span, q.fn, epsilon,
-                derive_seed(seed, "ldp-query", query_index),
-            )
-            answers.append(est)
-            names.append(q.name or f"q{query_index}")
-            report.queries.append(
-                {
-                    "round": round_index,
-                    "label_dep": q.label_dependent,
-                    "tau": tau,
-                    "answer": est,
-                }
-            )
-            cursor += batch
-            query_index += 1
+            for j, (span, values) in enumerate(
+                    _coordinate_batches(S, q, cursor, batch)):
+                ledger.charge_span(span.start, span.stop, epsilon)
+                est = ldp_estimate_mean(
+                    S, span, values, epsilon,
+                    derive_seed(seed, "ldp-query", query_index),
+                )
+                answers.append(est)
+                names.append(q.coordinate_name(j) or f"q{query_index}")
+                report.queries.append(
+                    {
+                        "round": round_index,
+                        "label_dep": q.label_dependent,
+                        "tau": tau,
+                        "answer": est,
+                    }
+                )
+                cursor += batch
+                query_index += 1
         report.per_round_randomizers.append(names)
         nxt = driver.feed(answers)
         round_index += 1

@@ -132,50 +132,33 @@ def exact_grad_f2(X: np.ndarray, probs: np.ndarray,
     return -2.0 * d * ((probs * labels) @ X)
 
 
-def grad_f1_queries(w: np.ndarray, params: SurrogateParams,
-                    query_tau: float) -> list[StatQuery]:
-    """One label-independent query per coordinate, normalized by 2*dim.
+def grad_f1_query(w: np.ndarray, params: SurrogateParams,
+                  query_tau: float) -> StatQuery:
+    """Block of the dim label-independent gradient coordinate queries.
 
-    The sign-weight k(x) is shared across the round's queries through a
-    per-support cache, since every query in the round evaluates it on the
-    same batch rows.
+    Coordinate j is k(x) x_j / (2 dim), normalized into [-1, 1]; k(x) is
+    computed once per evaluation, from the rows the block is evaluated on.
     """
     w = np.array(w, dtype=float)
     d = params.dim
     scale = 2.0 * d
-    cache: dict[int, np.ndarray] = {}
 
-    def k_of(X: np.ndarray) -> np.ndarray:
-        key = id(X)
-        if key not in cache:
-            cache[key] = sign_weight(w, X, params.gamma)
-        return cache[key]
+    def fn(X, y):
+        return sign_weight(w, X, params.gamma)[:, None] * X / scale
 
-    queries = []
-    for j in range(d):
-        def fn(X, y, j=j):
-            return k_of(X) * X[:, j] / scale
-
-        queries.append(
-            StatQuery(fn=fn, tau=query_tau, label_dependent=False,
-                      name=f"signsum-x{j}", scale=scale)
-        )
-    return queries
+    return StatQuery(fn=fn, tau=query_tau, label_dependent=False,
+                     name="signsum-x", scale=scale, width=d)
 
 
-def grad_f2_queries(params: SurrogateParams, query_tau: float) -> list[StatQuery]:
-    """One label-dependent query per coordinate: the mean of y * x_j."""
+def grad_f2_query(params: SurrogateParams, query_tau: float) -> StatQuery:
+    """Block of the dim label-dependent coordinate queries: the means of y x_j."""
     d = params.dim
-    queries = []
-    for j in range(d):
-        def fn(X, y, j=j):
-            return y * X[:, j]
 
-        queries.append(
-            StatQuery(fn=fn, tau=query_tau, label_dependent=True,
-                      name=f"label-x{j}", scale=-2.0 * d)
-        )
-    return queries
+    def fn(X, y):
+        return y[:, None] * X
+
+    return StatQuery(fn=fn, tau=query_tau, label_dependent=True,
+                     name="label-x", scale=-2.0 * d, width=d)
 
 
 @dataclass
@@ -194,8 +177,8 @@ def grad_f1(w: np.ndarray, ask: AskFn, params: SurrogateParams,
     if not per_coord_tol > 0:
         raise PreconditionError("tolerance must be positive")
     scale = 2.0 * params.dim
-    queries = grad_f1_queries(w, params, per_coord_tol / scale)
-    return scale * np.array([ask(q, round_index) for q in queries])
+    query = grad_f1_query(w, params, per_coord_tol / scale)
+    return scale * np.ravel(ask(query, round_index))
 
 
 def grad_f2(ask: AskFn, params: SurrogateParams, per_coord_tol: float,
@@ -208,8 +191,8 @@ def grad_f2(ask: AskFn, params: SurrogateParams, per_coord_tol: float,
             "label-dependent gradient already computed for this run"
         )
     scale = 2.0 * params.dim
-    queries = grad_f2_queries(params, per_coord_tol / scale)
-    out = -scale * np.array([ask(q, 0) for q in queries])
+    query = grad_f2_query(params, per_coord_tol / scale)
+    out = -scale * np.ravel(ask(query, 0))
     if state is not None:
         state.grad_f2 = out
     return out
@@ -248,20 +231,28 @@ def identity_projection(d: int) -> ProjectionMap:
     return ProjectionMap(matrix=np.eye(d), source_dim=d, target_dim=d, seed=0)
 
 
-def jl_project(src: LabeledSource, gamma: float, delta: float,
-               seed: int) -> tuple[ProjectionMap, LabeledSource]:
-    """Map a source into dimension jl_dim(gamma, delta), preserving labels.
+def jl_map(source_dim: int, gamma: float, delta: float,
+           seed: int) -> ProjectionMap:
+    """The seeded Gaussian map into dimension jl_dim(gamma, delta).
 
-    Entries are i.i.d. Gaussians scaled by 1/sqrt(d'). With probability at
-    least 1 - delta over the map, all but a delta-fraction of the mass keeps
-    margin gamma/2 along the image of the original normal.
+    Entries are i.i.d. Gaussians scaled by 1/sqrt(d').
     """
     d_prime = jl_dim(gamma, delta)
-    d = src.dim
     rng = generator(derive_seed(seed, "jl-map"))
-    matrix = rng.standard_normal((d_prime, d)) / math.sqrt(d_prime)
-    proj = ProjectionMap(matrix=matrix, source_dim=d, target_dim=d_prime,
-                         seed=seed)
+    matrix = rng.standard_normal((d_prime, source_dim)) / math.sqrt(d_prime)
+    return ProjectionMap(matrix=matrix, source_dim=source_dim,
+                         target_dim=d_prime, seed=seed)
+
+
+def jl_project(src: LabeledSource, gamma: float, delta: float,
+               seed: int) -> tuple[ProjectionMap, LabeledSource]:
+    """Map a source through jl_map(src.dim, gamma, delta, seed), keeping labels.
+
+    With probability at least 1 - delta over the map, all but a
+    delta-fraction of the mass keeps margin gamma/2 along the image of the
+    original normal.
+    """
+    proj = jl_map(src.dim, gamma, delta, seed)
     mapped = proj.apply(src.dist.matrix)
     points = [Point(mapped[i]) for i in range(mapped.shape[0])]
     dist = FiniteDistribution(points, src.dist.probs)
@@ -331,10 +322,11 @@ class LearnerReport:
 class HalfspaceDriver:
     """Query driver running averaged projected subgradient descent.
 
-    Round 0 carries the dim label-dependent correlation queries plus the
-    label-independent queries for the gradient at w0 = 0; every later round
-    carries only the label-independent queries at the current iterate, so
-    the protocol is label-non-adaptive by construction.
+    Round 0 carries the block of dim label-dependent correlation queries
+    plus the block of label-independent queries for the gradient at w0 = 0;
+    every later round carries only the label-independent block at the
+    current iterate, so the protocol is label-non-adaptive by construction.
+    feed takes one answer per coordinate, flat or grouped per block.
     """
 
     def __init__(self, params: SurrogateParams, settings: PsgdSettings):
@@ -356,16 +348,15 @@ class HalfspaceDriver:
     def begin(self) -> list[StatQuery]:
         d = self.params.dim
         tau = self.per_coord_tol / (2.0 * d)
-        queries = grad_f2_queries(self.params, tau)
-        queries += grad_f1_queries(self.state.w, self.params, tau)
-        self.report.queries_total += len(queries)
+        self.report.queries_total += 2 * d
         self.report.queries_label_dependent += d
         self.report.rounds = 1
-        return queries
+        return [grad_f2_query(self.params, tau),
+                grad_f1_query(self.state.w, self.params, tau)]
 
     def feed(self, answers) -> list[StatQuery] | None:
         d = self.params.dim
-        answers = np.asarray(answers, dtype=float)
+        answers = np.asarray(answers, dtype=float).reshape(-1)
         if self.state.grad_f2 is None:
             if answers.shape[0] != 2 * d:
                 raise ProtocolError("round 0 expects 2*dim answers")
@@ -379,12 +370,10 @@ class HalfspaceDriver:
         if self.state.iteration >= self.iterations:
             self._done = True
             return None
-        queries = grad_f1_queries(
-            self.state.w, self.params, self.per_coord_tol / (2.0 * d)
-        )
         self.report.queries_total += d
         self.report.rounds += 1
-        return queries
+        return [grad_f1_query(self.state.w, self.params,
+                              self.per_coord_tol / (2.0 * d))]
 
     def _step(self, g1: np.ndarray):
         # Average the iterates at which gradients were measured, w0 included.
@@ -433,11 +422,11 @@ class KnownDistributionDriver:
         self.report.queries_total = d
         self.report.queries_label_dependent = d
         self.report.rounds = 1
-        return grad_f2_queries(self.params, self.per_coord_tol / (2.0 * d))
+        return [grad_f2_query(self.params, self.per_coord_tol / (2.0 * d))]
 
     def feed(self, answers) -> None:
         d = self.params.dim
-        g2 = -2.0 * d * np.asarray(answers, dtype=float)
+        g2 = -2.0 * d * np.asarray(answers, dtype=float).reshape(-1)
         w = np.zeros(d)
         w_sum = np.zeros(d)
         for _ in range(self.iterations):

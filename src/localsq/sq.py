@@ -1,7 +1,13 @@
 """Statistical-query abstraction and oracle implementations.
 
 A statistical query is a bounded function of one labeled example; an oracle
-answers with something close to its mean under the source. Three oracles
+answers with something close to its mean under the source. A query may also
+be a block of k coordinate queries sharing one tolerance, such as the d
+coordinates of a gradient, which is one mean vector: its fn returns an
+(n, k) array, column j being coordinate j, and is evaluated once per batch
+for all k coordinates. Everything downstream still counts coordinates:
+an oracle answers a block with k answers, a driver is fed one answer per
+coordinate, and a transcript holds one entry per coordinate. Three oracles
 live here: the exact oracle (answers with the true mean), a perturbing
 oracle exercising worst-case-but-valid answer policies, and an adversarial
 oracle that hides the labels of weakly-correlated queries. A transcript
@@ -12,7 +18,7 @@ label-non-adaptivity is a checkable property of a run, not a promise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -32,7 +38,10 @@ class StatQuery:
     """A [-1,1]-valued function of a labeled example, with a tolerance request.
 
     fn is batch-first: fn(X, y) maps an (n, d) array of points and an (n,)
-    array of labels to n values. label_dependent declares whether fn reads
+    array of labels to n values, or, for a block of width > 1, to an
+    (n, width) array whose column j is the value of coordinate j. A block's
+    coordinates share tau, label_dependent and scale, and each is answered
+    and recorded as one query. label_dependent declares whether fn reads
     y at all; the declaration is verified against the decomposition on
     every support the query is evaluated on. scale records the factor a
     consumer multiplies the answer by when the submitted function is a
@@ -44,10 +53,38 @@ class StatQuery:
     label_dependent: bool
     name: str = ""
     scale: float = 1.0
+    width: int = 1
 
     def __post_init__(self):
         if not self.tau > 0:
             raise PreconditionError("tolerance must be positive")
+        if self.width < 1:
+            raise PreconditionError("a query needs at least one coordinate")
+
+    def coordinate_name(self, j: int) -> str:
+        """Name of coordinate j: the query's own name for a scalar query."""
+        if self.width == 1 or not self.name:
+            return self.name
+        return f"{self.name}{j}"
+
+
+def checked_values(values, shape: tuple) -> np.ndarray:
+    """values as a float array; refused unless of this shape and in [-1, 1]."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ContractViolation("query fn returned a wrong-shaped batch")
+    worst = float(np.abs(values).max()) if values.size else 0.0
+    if worst > 1.0 + RANGE_TOL:
+        raise ContractViolation(f"query value {worst:.6g} outside [-1, 1]")
+    return values
+
+
+def evaluate_block(q: StatQuery, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """q.fn on a batch as a checked (n, width) array."""
+    values = np.asarray(q.fn(X, y), dtype=float)
+    if q.width == 1 and values.ndim == 1:
+        values = values[:, None]
+    return checked_values(values, (y.shape[0], q.width))
 
 
 @dataclass(frozen=True)
@@ -151,28 +188,33 @@ def assert_label_non_adaptive(t: InteractivityTranscript) -> bool:
 def _evaluate_on_support(q: StatQuery, src: LabeledSource):
     """Evaluate fn under both labels, enforcing range and dependence contracts.
 
-    Returns (plus, minus, realized) where realized[i] = fn(x_i, f(x_i)).
+    Returns (plus, minus, realized), each (n, width), where realized[i] =
+    fn(x_i, f(x_i)). fn is called once, on the support stacked over both
+    labels, so a block's label-free work (the halfspace sign weight) runs
+    once per evaluation.
     """
     X = src.dist.matrix
-    ones = np.ones(X.shape[0])
-    plus = np.asarray(q.fn(X, ones), dtype=float)
-    minus = np.asarray(q.fn(X, -ones), dtype=float)
-    if plus.shape != ones.shape or minus.shape != ones.shape:
-        raise ContractViolation("query fn returned a wrong-shaped batch")
-    worst = max(float(np.max(np.abs(plus))), float(np.max(np.abs(minus))))
-    if worst > 1.0 + RANGE_TOL:
-        raise ContractViolation(f"query value {worst:.6g} outside [-1, 1]")
+    n = X.shape[0]
+    ones = np.ones(n)
+    both = evaluate_block(q, np.vstack([X, X]), np.concatenate([ones, -ones]))
+    plus, minus = both[:n], both[n:]
     # The flag covers the query's declared domain; the evaluated support can
     # only witness dependence, never rule it out, so the lazy check is
     # one-directional.
-    actually_dependent = bool(np.max(np.abs(plus - minus)) > DEP_TOL)
+    actually_dependent = bool(np.abs(plus - minus).max() > DEP_TOL)
     if actually_dependent and not q.label_dependent:
         raise ContractViolation(
             "declared label_dependent=False but support evaluation "
             "shows dependence"
         )
-    realized = np.where(src.labels > 0, plus, minus)
+    realized = np.where(src.labels[:, None] > 0, plus, minus)
     return plus, minus, realized
+
+
+def _column_means(src: LabeledSource, values: np.ndarray) -> np.ndarray:
+    """Exact mean of each column, each taken as probs @ a contiguous column."""
+    probs = src.dist.probs
+    return np.array([probs @ col for col in np.ascontiguousarray(values.T)])
 
 
 class _TranscriptingOracle:
@@ -181,20 +223,25 @@ class _TranscriptingOracle:
     def __init__(self):
         self.transcript = InteractivityTranscript()
 
-    def ask(self, q: StatQuery, round_index: int) -> float:
-        answer = self._answer(q)
-        self.transcript.append(
-            TranscriptEntry(
-                round=int(round_index),
-                label_dependent=q.label_dependent,
-                tolerance=q.tau,
-                answer=float(answer),
-                scale=q.scale,
-            )
-        )
-        return float(answer)
+    def ask(self, q: StatQuery, round_index: int):
+        """Answer q: a float for a scalar query, a (width,) array for a block.
 
-    def _answer(self, q: StatQuery) -> float:
+        Every coordinate is recorded as its own transcript entry.
+        """
+        answers = self._answer(q)
+        for answer in answers:
+            self.transcript.append(
+                TranscriptEntry(
+                    round=int(round_index),
+                    label_dependent=q.label_dependent,
+                    tolerance=q.tau,
+                    answer=float(answer),
+                    scale=q.scale,
+                )
+            )
+        return float(answers[0]) if q.width == 1 else answers
+
+    def _answer(self, q: StatQuery) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -205,9 +252,9 @@ class ExactOracle(_TranscriptingOracle):
         super().__init__()
         self.src = src
 
-    def _answer(self, q: StatQuery) -> float:
+    def _answer(self, q: StatQuery) -> np.ndarray:
         _, _, realized = _evaluate_on_support(q, self.src)
-        return self.src.expectation(realized)
+        return _column_means(self.src, realized)
 
 
 PERTURBATION_POLICIES = ("grid", "plus_tau", "minus_tau", "uniform")
@@ -220,6 +267,8 @@ class PerturbingOracle(_TranscriptingOracle):
     plus_tau  exact mean plus tau
     minus_tau exact mean minus tau
     uniform   exact mean plus a seeded uniform draw from [-tau, tau]
+
+    A block is answered coordinate by coordinate, one draw each.
     """
 
     def __init__(self, src: LabeledSource, policy: str, seed: int = 0):
@@ -230,16 +279,19 @@ class PerturbingOracle(_TranscriptingOracle):
         self.policy = policy
         self._rng = generator(derive_seed(seed, "perturbing-oracle"))
 
-    def _answer(self, q: StatQuery) -> float:
+    def _answer(self, q: StatQuery) -> np.ndarray:
         _, _, realized = _evaluate_on_support(q, self.src)
-        exact = self.src.expectation(realized)
+        return np.array([self._perturb(exact, q.tau)
+                         for exact in _column_means(self.src, realized)])
+
+    def _perturb(self, exact: float, tau: float) -> float:
         if self.policy == "grid":
-            return float(np.floor(exact / q.tau + 0.5) * q.tau)
+            return float(np.floor(exact / tau + 0.5) * tau)
         if self.policy == "plus_tau":
-            return exact + q.tau
+            return exact + tau
         if self.policy == "minus_tau":
-            return exact - q.tau
-        return exact + float(self._rng.uniform(-q.tau, q.tau))
+            return exact - tau
+        return exact + float(self._rng.uniform(-tau, tau))
 
 
 @dataclass(frozen=True)
@@ -262,7 +314,9 @@ class AdversarialOracle(_TranscriptingOracle):
     mean; otherwise it answers E[g(x)], erasing the labels entirely. Every
     answer is within 1/m of the exact mean, so the oracle is a valid
     tolerance-1/m responder while revealing nothing about weakly-correlated
-    directions. Negating the target changes no below-threshold answer.
+    directions. Negating the target changes no below-threshold answer. A
+    block is answered coordinate by coordinate, and each coordinate counts
+    against the budget m.
     """
 
     def __init__(self, cfg: AdversarialOracleConfig):
@@ -271,30 +325,31 @@ class AdversarialOracle(_TranscriptingOracle):
         self.queries_asked = 0
         self.branches: list[str] = []
 
-    def _answer(self, q: StatQuery) -> float:
-        if self.queries_asked >= self.cfg.m:
+    def _answer(self, q: StatQuery) -> np.ndarray:
+        if self.queries_asked + q.width > self.cfg.m:
             raise BudgetExceeded(
                 f"adversarial oracle budget of {self.cfg.m} queries exhausted"
             )
-        self.queries_asked += 1
+        self.queries_asked += q.width
         src = self.cfg.src
         plus, minus, realized = _evaluate_on_support(q, src)
         h_vals = (plus - minus) / 2.0
         g_vals = (plus + minus) / 2.0
-        correlation = src.expectation(src.labels * h_vals)
-        threshold = 1.0 / self.cfg.m
-        if abs(correlation) >= threshold:
-            self.branches.append("exact")
-            return src.expectation(realized)
-        self.branches.append("label_blind")
-        return src.expectation(g_vals)
+        correlations = _column_means(src, src.labels[:, None] * h_vals)
+        exact = _column_means(src, realized)
+        label_blind = _column_means(src, g_vals)
+        concede = np.abs(correlations) >= 1.0 / self.cfg.m
+        self.branches += ["exact" if c else "label_blind" for c in concede]
+        return np.where(concede, exact, label_blind)
 
 
 class QueryDriver(Protocol):
     """Adaptive query protocol: rounds of queries fed by batched answers.
 
-    max_queries bounds the total number of queries across all rounds and
-    must be declared up front so simulators can size their sample budgets.
+    max_queries bounds the total number of queries across all rounds,
+    counting each coordinate of a block, and must be declared up front so
+    simulators can size their sample budgets. feed receives one answer per
+    coordinate, in query order.
     """
 
     max_queries: int
@@ -306,15 +361,20 @@ class QueryDriver(Protocol):
     def result(self) -> object: ...
 
 
-AskFn = Callable[[StatQuery, int], float]
+AskFn = Callable[[StatQuery, int], "float | np.ndarray"]
 
 
 def run_driver(driver, ask: AskFn) -> int:
-    """Run a driver to completion against an answer function; returns rounds."""
+    """Run a driver to completion against an answer function; returns rounds.
+
+    The driver is fed one flat answer per coordinate, blocks unpacked.
+    """
     queries = list(driver.begin())
     round_index = 0
     while queries:
-        answers = [ask(q, round_index) for q in queries]
+        answers = []
+        for q in queries:
+            answers.extend(np.ravel(ask(q, round_index)).tolist())
         round_index += 1
         nxt = driver.feed(answers)
         queries = list(nxt) if nxt is not None else []

@@ -7,6 +7,7 @@ schema from localsq.schemas here as well, independently of the writer's
 own validation.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -373,6 +374,46 @@ class TestDeterminism:
         assert snapshots[0].keys() == snapshots[1].keys()
         for name in snapshots[0]:
             assert snapshots[0][name] == snapshots[1][name], name
+
+
+# sha256 of every artifact, recorded before the halfspace rounds became
+# block queries; the change kept every byte. The figures hold for IEEE
+# doubles and the numpy/BLAS builds this was recorded with.
+GOLDEN_DIGESTS = {
+    "learn-halfspace-exact": (["learn-halfspace", "--seed", "0"], {
+        "halfspace_report.json": "9ad7d62454b2b8ab30dd04c98513f5f17294c13feb81c45835669c88b87dd67a",
+        "hypothesis.json": "2138338bca12ed6d9abb28941befba3bb3bc1f4dd8dea9aa0f4241ad96b77392",
+        "results.csv": "8b17b11355f7f76e62399da8b0927f5bbec817a013280b0e2d25721348005a39",
+        "transcript.jsonl": "dfda0674250a11eab3874bf804063fe9eb8ac03d83f9f05bb8b0447c18997def",
+    }),
+    "learn-halfspace-ldp": (["learn-halfspace", "--oracle", "ldp", "--d",
+                             "10", "--seed", "0"], {
+        "halfspace_report.json": "2f16b51e37862ba83ec8c6e87b6d0432a602a34621f9afdc79cb70616d4ed249",
+        "hypothesis.json": "3dd7e0b580d198d3bac14ebbe8f7e58c9d382407f260464f1428e19df199b53e",
+        "results.csv": "d316c9c7cbfc15c8267297d7b8624a1c335500accf4bd8960ce2ce362a47219f",
+        "transcript.jsonl": "ccbe09b2e5255dfbb230288e08eebf9ca8a940437b59ffe79ed15420ed6d259a",
+    }),
+    "learn-dl": (["learn-dl", "--seed", "1"], {
+        "dl_hypothesis.json": "8c581c5dbdcbcff5de5a9c538ba4cc27e1680c0de872cbf64a71699bede95171",
+        "dl_report.json": "baa9f4cc6d7e8cac7b4fde4ac0a9579fa2b0ad41a11f1239809eaf52ea817b65",
+        "results.csv": "ec5c572d4f6040d08a343dd85e05820e89d20ae8e02593a7918847e0ce5db91a",
+        "transcript.jsonl": "422d944120b7b89227e90d5e24acc8812b58ea5a8c4a5cc7b13393fc737578bc",
+    }),
+    "jl-check": (["jl-check", "--seed", "0"], {
+        "jl_report.json": "663dee80231e93dade4cc3aacf9f059ee2ee0b1e3e062b5ffdaa5607a98ed25f",
+        "jl_trials.csv": "bf7780215dc9e4908f541989aa381160f77114129d0e3e4ff6dc2940e32a1fc4",
+    }),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+    def test_artifacts_match_pinned_digests(self, tmp_path, case):
+        argv, expected = GOLDEN_DIGESTS[case]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(tmp_path.iterdir())}
+        assert digests == expected
 
 
 class TestSchemaDocs:

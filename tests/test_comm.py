@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localsq._rng import derive_seed
 from localsq.core import (
     Explicit,
     FiniteDistribution,
     LabeledSource,
     Point,
     SampleStream,
+    make_margin_source,
     sample,
 )
 from localsq.errors import (
@@ -31,6 +33,12 @@ from localsq.comm import (
     one_bit_extractor,
 )
 from localsq.ldp import ldp_batch_size
+from localsq.margin_learner import (
+    HalfspaceDriver,
+    PsgdSettings,
+    SurrogateParams,
+    sign_weight,
+)
 from localsq.sq import ExactOracle, StatQuery
 
 
@@ -152,8 +160,8 @@ class TestCommEstimateMean:
     def test_deterministic_per_seed(self):
         src = two_point_source()
         stream = SampleStream(src, 500, seed=6)
-        a = comm_estimate_mean(stream, (0, 500), first_coord, seed=9)
-        b = comm_estimate_mean(stream, (0, 500), first_coord, seed=9)
+        a = comm_estimate_mean(stream, range(0, 500), first_coord, seed=9)
+        b = comm_estimate_mean(stream, range(0, 500), first_coord, seed=9)
         assert a == b
 
     def test_sized_batch_meets_tolerance(self):
@@ -165,7 +173,7 @@ class TestCommEstimateMean:
         stream = SampleStream(src, n, seed=8)
         good = 0
         for trial in range(200):
-            est = comm_estimate_mean(stream, (0, n), first_coord, seed=trial)
+            est = comm_estimate_mean(stream, range(0, n), first_coord, seed=trial)
             good += abs(est - exact) <= tau
         assert good / 200 >= 1 - delta
 
@@ -213,6 +221,49 @@ class TestCompileToComm:
         with pytest.raises(SizingError) as err:
             compile_sq_to_comm(NonInteractiveDriver([q]), stream, 0.1, 0.1)
         assert err.value.required == comm_batch_size(1, 0.1, 0.1)
+
+    def test_halfspace_rounds_on_dataset_use_each_batch(self):
+        # Every coordinate of a gradient round must be evaluated on its own
+        # batch of a materialized Dataset: the reference recomputes each
+        # answer from that coordinate's rows with the compiler's seed.
+        d, gamma, seed = 3, 0.3, 4
+        src = make_margin_source(d, gamma, 20, seed=2)
+        params = SurrogateParams(gamma=gamma, alpha=0.1, dim=d)
+        iterates = []
+
+        class Recording(HalfspaceDriver):
+            def begin(self):
+                iterates.append(self.state.w.copy())
+                return super().begin()
+
+            def feed(self, answers):
+                nxt = super().feed(answers)
+                iterates.append(self.state.w.copy())
+                return nxt
+
+        driver = Recording(params, PsgdSettings(iterations=3,
+                                                per_coord_tol=3.0))
+        tau = driver.per_coord_tol / (2.0 * d)
+        batch = comm_batch_size(driver.max_queries, tau, 0.1)
+        S = sample(src, driver.max_queries * batch, seed=7)
+        _, report = compile_sq_to_comm(driver, S, tau, 0.1, seed=seed)
+
+        def label_coord(j):
+            return lambda X, y: y * X[:, j]
+
+        def signsum_coord(w, j):
+            return lambda X, y: sign_weight(w, X, gamma) * X[:, j] / (2.0 * d)
+
+        phis = [label_coord(j) for j in range(d)]
+        for w in iterates[:-1]:
+            phis += [signsum_coord(w, j) for j in range(d)]
+        assert len(phis) == len(report.queries) == driver.max_queries
+        assert np.any(iterates[1] != 0.0)
+        for i, (phi, q) in enumerate(zip(phis, report.queries)):
+            rows = np.arange(i * batch, (i + 1) * batch)
+            expected = comm_estimate_mean(
+                S, rows, phi, derive_seed(seed, "comm-query", i))
+            assert q["answer"] == expected, i
 
     def test_report_json_uses_bits_key(self):
         src = two_point_source()

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localsq.core import (
+    Dataset,
     Explicit,
     FiniteDistribution,
     LabeledSource,
@@ -272,7 +273,7 @@ class TestLdpEstimateMean:
         hits = 0
         for trial in range(200):
             est = ldp_estimate_mean(
-                stream, (0, 10_000), lambda X, y: np.zeros(len(X)),
+                stream, range(0, 10_000), lambda X, y: np.zeros(len(X)),
                 epsilon=1.0, seed=trial,
             )
             hits += abs(est) <= bound
@@ -290,7 +291,7 @@ class TestLdpEstimateMean:
         stream = SampleStream(src, n, seed=13)
         good = 0
         for trial in range(200):
-            est = ldp_estimate_mean(stream, (0, n), first_coord, eps, seed=trial)
+            est = ldp_estimate_mean(stream, range(0, n), first_coord, eps, seed=trial)
             good += abs(est - exact) <= tau
         assert good / 200 >= 1 - delta
 
@@ -306,7 +307,7 @@ class TestLdpEstimateMean:
         grouped, rowwise = [], []
         for trial in range(300):
             grouped.append(
-                ldp_estimate_mean(stream, (0, 400), first_coord, 1.0, seed=trial)
+                ldp_estimate_mean(stream, range(0, 400), first_coord, 1.0, seed=trial)
             )
             rowwise.append(
                 ldp_estimate_mean(
@@ -316,6 +317,23 @@ class TestLdpEstimateMean:
         # sd of a single estimate is about 1/(c sqrt(400)) ~ 0.108; means
         # over 300 trials differ by > 4 * 0.108 / sqrt(300) ~ 0.025 rarely.
         assert abs(np.mean(grouped) - np.mean(rowwise)) < 0.03
+
+    def test_tuples_list_indices_and_ranges_are_spans(self):
+        src = two_point_source()
+        S = sample(src, 10, seed=2)
+        rows = []
+
+        def phi(X, y):
+            rows.append(np.array(X))
+            return np.zeros(len(X))
+
+        ldp_estimate_mean(S, (3, 7), phi, 1.0, seed=0)
+        ldp_estimate_mean(S, range(3, 7), phi, 1.0, seed=0)
+        assert np.array_equal(rows[0], S.X[[3, 7]])
+        assert np.array_equal(rows[1], S.X[3:7])
+        with pytest.raises(PreconditionError):
+            ldp_estimate_mean(SampleStream(src, 10, seed=1), (3, 7), phi,
+                              1.0, seed=0)
 
     def test_empty_batch_rejected(self):
         src = two_point_source()
@@ -333,6 +351,27 @@ class TestLdpEstimateMean:
 
 
 class TestCompileToLdp:
+    @pytest.mark.parametrize("materialized", [False, True])
+    def test_block_compiles_like_its_scalar_queries(self, materialized):
+        src = make_margin_source(3, 0.3, 10, seed=5)
+        block = StatQuery(fn=lambda X, y: y[:, None] * X, tau=0.3,
+                          label_dependent=True, width=3)
+        scalars = [StatQuery(fn=lambda X, y, j=j: y * X[:, j], tau=0.3,
+                             label_dependent=True) for j in range(3)]
+        n = 3 * ldp_batch_size(3, 0.3, 0.2, 1.0)
+        stream = SampleStream(src, n, seed=31)
+        S = Dataset(*stream.batch(0, n), seed=0) if materialized else stream
+        runs = []
+        for queries in ([block], scalars):
+            driver = NonInteractiveDriver(queries)
+            driver.max_queries = 3
+            runs.append(compile_sq_to_ldp(driver, S, 1.0, 0.3, 0.2, seed=4))
+        (a, a_report), (b, b_report) = runs
+        assert a == b
+        assert a_report.to_json() == b_report.to_json()
+        assert (a_report.ledger.per_index_spent
+                == b_report.ledger.per_index_spent)
+
     def test_non_interactive_driver_single_round(self):
         src = two_point_source()
         queries = [

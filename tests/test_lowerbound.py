@@ -107,7 +107,9 @@ class TestSolveLp:
     @given(st.integers(0, 2000))
     @settings(max_examples=40, deadline=None)
     def test_random_feasible_programs_certified(self, seed):
-        # Box-bounded feasible LPs: optimum exists, gap must certify it.
+        # Box-bounded feasible LPs: optimum exists, gap must certify it, and
+        # HiGHS must find the same optimum, also with an equality row added.
+        linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(seed)
         n, k = rng.integers(2, 5), rng.integers(1, 4)
         A = rng.uniform(-1, 1, size=(k, n))
@@ -115,15 +117,26 @@ class TestSolveLp:
         b = A @ x0 + rng.uniform(0, 0.5, size=k)
         c = rng.uniform(-1, 1, size=n)
         box = np.eye(n)
-        sol = solve_lp(
-            c=c,
-            a_ub=np.vstack([A, box]),
-            b_ub=np.concatenate([b, np.ones(n)]),
-        )
+        a_ub = np.vstack([A, box])
+        b_ub = np.concatenate([b, np.ones(n)])
+        sol = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub)
         assert sol.duality_gap <= 1e-7
         assert np.all(sol.x >= -1e-9)
         assert np.all(A @ sol.x <= b + 1e-9)
         assert sol.value <= c @ x0 + 1e-9
+        highs = linprog(c, A_ub=a_ub, b_ub=b_ub, method="highs")
+        assert highs.status == 0
+        assert sol.value == pytest.approx(highs.fun, abs=1e-7)
+
+        a_eq = rng.uniform(-1, 1, size=(1, n))
+        b_eq = a_eq @ x0
+        sol = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        assert sol.duality_gap <= 1e-7
+        assert np.allclose(a_eq @ sol.x, b_eq, atol=1e-9)
+        highs = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                        method="highs")
+        assert highs.status == 0
+        assert sol.value == pytest.approx(highs.fun, abs=1e-7)
 
 
 class TestWorstCorrelationDistribution:

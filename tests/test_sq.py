@@ -365,3 +365,72 @@ class TestRunDriver:
         assert driver.seen[0] == [1.0, 1.0]
         assert driver.seen[1] == [0.0]
         assert oracle.transcript.rounds_used() == 2
+
+
+def label_block(d, tau=0.1):
+    """Block of the d label-dependent coordinate queries y * x_j."""
+    return StatQuery(fn=lambda X, y: y[:, None] * X, tau=tau,
+                     label_dependent=True, width=d)
+
+
+def label_scalars(d, tau=0.1):
+    return [StatQuery(fn=lambda X, y, j=j: y * X[:, j], tau=tau,
+                      label_dependent=True) for j in range(d)]
+
+
+class TestBlockQueries:
+    def test_exact_block_equals_its_scalar_queries(self):
+        src = make_margin_source(4, 0.3, 12, seed=3)
+        block, scalar = ExactOracle(src), ExactOracle(src)
+        answers = block.ask(label_block(4), 2)
+        assert list(answers) == [scalar.ask(q, 2) for q in label_scalars(4)]
+        assert block.transcript.entries == scalar.transcript.entries
+
+    def test_perturbing_block_draws_per_coordinate(self):
+        src = make_margin_source(4, 0.3, 12, seed=4)
+        block = PerturbingOracle(src, "uniform", seed=5)
+        scalar = PerturbingOracle(src, "uniform", seed=5)
+        answers = block.ask(label_block(4), 0)
+        assert list(answers) == [scalar.ask(q, 0) for q in label_scalars(4)]
+
+    def test_adversarial_budget_counts_coordinates(self):
+        src = make_margin_source(3, 0.3, 10, seed=6)
+        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=5))
+        oracle.ask(label_block(3), 0)
+        assert oracle.queries_asked == 3
+        assert len(oracle.branches) == len(oracle.transcript) == 3
+        with pytest.raises(BudgetExceeded):
+            oracle.ask(label_block(3), 0)
+
+    def test_wrong_width_refused(self):
+        src = make_margin_source(3, 0.3, 10, seed=7)
+        q = StatQuery(fn=lambda X, y: X[:, :2], tau=0.1,
+                      label_dependent=False, width=3)
+        with pytest.raises(ContractViolation):
+            ExactOracle(src).ask(q, 0)
+
+    def test_undeclared_dependence_in_one_column_refused(self):
+        src = make_margin_source(3, 0.3, 10, seed=8)
+        q = StatQuery(fn=lambda X, y: np.column_stack([X[:, 0], y * X[:, 1]]),
+                      tau=0.1, label_dependent=False, width=2)
+        with pytest.raises(ContractViolation):
+            ExactOracle(src).ask(q, 0)
+
+    def test_run_driver_feeds_one_answer_per_coordinate(self):
+        src = make_margin_source(3, 0.3, 10, seed=9)
+
+        class BlockDriver:
+            max_queries = 4
+
+            def begin(self):
+                return [label_block(3), correlation_query([1.0, 0.0, 0.0])]
+
+            def feed(self, answers):
+                self.answers = list(answers)
+
+        driver = BlockDriver()
+        assert run_driver(driver, ExactOracle(src).ask) == 1
+        scalar = ExactOracle(src)
+        assert driver.answers == [
+            scalar.ask(q, 0) for q in label_scalars(3)
+            + [correlation_query([1.0, 0.0, 0.0])]]
