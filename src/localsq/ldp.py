@@ -1,12 +1,15 @@
-"""Local randomizers, private mean estimation, and the SQ-to-LDP compiler.
+"""Randomized response, private mean estimation, and the SQ compiler.
 
 The mechanism throughout is randomized response on one bounded value per
 client: a client holding example z releases a single bit whose bias encodes
-phi(z), scaled by c = (e^eps - 1)/(e^eps + 1) so that the two possible
-outputs never differ in probability by more than a factor e^eps. Averaging
-debiased bits over a fresh batch answers one statistical query; running a
-query driver against such batches turns any SQ algorithm into a locally
-private protocol with the same round structure.
+phi(z), scaled by a coefficient c. A `Channel` fixes c, what each client
+pays for its bit, and the batch rule. The locally private channel has
+c = (e^eps - 1)/(e^eps + 1), so that the two possible outputs never differ
+in probability by more than a factor e^eps; the one-bit channel
+(`localsq.comm`) is the same simulation with c = 1. Averaging debiased bits
+over a fresh batch answers one statistical query; running a query driver
+against such batches turns any SQ algorithm into a protocol on the channel
+with the same round structure.
 """
 
 from __future__ import annotations
@@ -14,21 +17,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._rng import derive_seed, generator
 from .core import SampleStream, counts_view
-from .errors import (
-    BudgetExceeded,
-    ContractViolation,
-    PreconditionError,
-    SizingError,
-)
+from .errors import BudgetExceeded, PreconditionError, SizingError
 from .sq import StatQuery, checked_values, evaluate_block
 
-RANGE_TOL = 1e-12
 CHARGE_TOL = 1e-12
 
 
@@ -37,16 +34,6 @@ def rr_coefficient(epsilon: float) -> float:
     if not epsilon > 0:
         raise PreconditionError("epsilon must be positive")
     return (math.exp(epsilon) - 1.0) / (math.exp(epsilon) + 1.0)
-
-
-def ldp_batch_size(t: int, tau: float, delta: float, epsilon: float) -> int:
-    """Per-query batch so all t answers are within tau w.p. >= 1 - delta."""
-    if t < 1:
-        raise PreconditionError("need at least one query")
-    if not (0 < delta < 1 and tau > 0):
-        raise PreconditionError("need tau > 0 and delta in (0, 1)")
-    c = rr_coefficient(epsilon)
-    return math.ceil(8.0 * math.log(2.0 * t / delta) / (c * c * tau * tau))
 
 
 @dataclass(frozen=True)
@@ -59,7 +46,6 @@ class LocalRandomizer:
     estimate of the encoded value.
     """
 
-    epsilon: float
     message_space: tuple
     apply_fn: Callable[[np.ndarray, float, int], object]
     prob_fn: Callable[[np.ndarray, float, object], float]
@@ -75,50 +61,115 @@ class LocalRandomizer:
         return self.debias_fn(message)
 
 
+@dataclass(frozen=True)
+class Channel:
+    """Randomized response with coefficient c, one message per client.
+
+    A client holding v in [-1, 1] sends +1 with probability p_plus(v) =
+    1/2 + c*v/2, else -1; a message debiased by 1/c is an unbiased estimate
+    of v. Every client pays `budget` (reported under `budget_key`) for its
+    one message. `hoeffding` is the constant K of the batch rule
+    ceil(K log(2t/delta) / (c^2 tau^2)), and `seed_label` labels the
+    per-query seed derivation.
+    """
+
+    c: float
+    budget_key: str
+    budget: float
+    hoeffding: float
+    seed_label: str
+
+    def batch_size(self, t: int, tau: float, delta: float) -> int:
+        """Per-query batch so all t answers are within tau w.p. >= 1 - delta."""
+        if t < 1:
+            raise PreconditionError("need at least one query")
+        if not (0 < delta < 1 and tau > 0):
+            raise PreconditionError("need tau > 0 and delta in (0, 1)")
+        return math.ceil(self.hoeffding * math.log(2.0 * t / delta)
+                         / (self.c * self.c * tau * tau))
+
+    def p_plus(self, v):
+        """Probability that a client holding value v sends +1."""
+        return 0.5 + self.c * v / 2.0
+
+    def estimate_mean(self, S, indices, phi, seed: int) -> float:
+        """Estimate E[phi] from one message per batch sample.
+
+        phi is a query fn, or its values already evaluated on the batch rows
+        (the support rows for a SampleStream). Returns clamp(sum(o_i) / (c n),
+        -1, 1); the pre-clamp estimate is unbiased. Rows with multiplicity k
+        contribute a Binomial(k, p_plus) count of +1 messages, identical in
+        distribution to k independent clients.
+        """
+        X, y, counts = _resolve_batch(S, indices)
+        n = int(counts.sum())
+        if n < 1:
+            raise PreconditionError("empty batch")
+        values = checked_values(phi(X, y) if callable(phi) else phi, y.shape)
+        plus = generator(seed).binomial(counts, self.p_plus(values))
+        total = 2.0 * float(plus.sum()) - n
+        return float(np.clip(total / (self.c * n), -1.0, 1.0))
+
+    def randomizer(self, phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                   ) -> LocalRandomizer:
+        """One client's view of the channel for a [-1,1]-valued phi.
+
+        Its output probabilities come from the same p_plus as the
+        estimator's draws. They lie in [(1-c)/2, (1+c)/2], so any two
+        examples' message probabilities are within a factor (1+c)/(1-c).
+        """
+
+        def p_plus(x, y):
+            X = np.asarray(x, dtype=float).reshape(1, -1)
+            v = checked_values(phi(X, np.array([float(y)])), (1,))[0]
+            return self.p_plus(float(v))
+
+        def prob_fn(x, y, message):
+            if message not in (1, -1):
+                raise PreconditionError("message outside the randomizer's space")
+            p = p_plus(x, y)
+            return p if message == 1 else 1.0 - p
+
+        return LocalRandomizer(
+            message_space=(-1, 1),
+            apply_fn=lambda x, y, seed: (
+                1 if generator(seed).random() < p_plus(x, y) else -1),
+            prob_fn=prob_fn,
+            debias_fn=lambda message: float(message) / self.c,
+        )
+
+
+def ldp_channel(epsilon: float) -> Channel:
+    """The epsilon-locally-private channel: randomized response at epsilon."""
+    return Channel(c=rr_coefficient(epsilon), budget_key="epsilon",
+                   budget=epsilon, hoeffding=8.0, seed_label="ldp-query")
+
+
+def ldp_batch_size(t: int, tau: float, delta: float, epsilon: float) -> int:
+    """Per-query batch so all t answers are within tau w.p. >= 1 - delta."""
+    return ldp_channel(epsilon).batch_size(t, tau, delta)
+
+
 def rr_randomizer(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   epsilon: float) -> LocalRandomizer:
     """Randomized response for a [-1,1]-valued function of one example.
 
-    Emits +1 with probability 1/2 + c*phi(z)/2, else -1. The output-bit
-    probabilities lie in [(1-c)/2, (1+c)/2], so any two examples' message
-    probabilities are within a factor (1+c)/(1-c) = e^eps of each other.
+    Emits +1 with probability 1/2 + c*phi(z)/2, else -1, so any two
+    examples' message probabilities are within a factor e^eps.
     """
-    c = rr_coefficient(epsilon)
+    return ldp_channel(epsilon).randomizer(phi)
 
-    def value_of(x: np.ndarray, y: float) -> float:
-        X = np.asarray(x, dtype=float).reshape(1, -1)
-        v = float(np.asarray(phi(X, np.array([float(y)])))[0])
-        if abs(v) > 1.0 + RANGE_TOL:
-            raise ContractViolation(f"randomizer input value {v:.6g} outside [-1, 1]")
-        return v
 
-    def apply_fn(x, y, seed):
-        p_plus = 0.5 + c * value_of(x, y) / 2.0
-        return 1 if generator(seed).random() < p_plus else -1
-
-    def prob_fn(x, y, message):
-        if message not in (1, -1):
-            raise PreconditionError("message outside the randomizer's space")
-        p_plus = 0.5 + c * value_of(x, y) / 2.0
-        return p_plus if message == 1 else 1.0 - p_plus
-
-    def debias_fn(message):
-        return float(message) / c
-
-    return LocalRandomizer(
-        epsilon=epsilon,
-        message_space=(-1, 1),
-        apply_fn=apply_fn,
-        prob_fn=prob_fn,
-        debias_fn=debias_fn,
-    )
+def ldp_estimate_mean(S, indices, phi, epsilon: float, seed: int) -> float:
+    """Estimate E[phi] on the epsilon-locally-private channel."""
+    return ldp_channel(epsilon).estimate_mean(S, indices, phi, seed)
 
 
 class PrivacyLedger:
-    """Per-client privacy accounting with a hard cap.
+    """Per-client accounting of epsilon or bits with a hard cap.
 
-    Single-index charges land in a dict; compiler batches charge contiguous
-    index spans so that million-client runs stay O(#batches). A charge that
+    Charges cover contiguous index spans, so that million-client runs stay
+    O(#batches); a one-client charge is a one-index span. A charge that
     would push any index past the cap raises before recording anything.
     """
 
@@ -126,34 +177,20 @@ class PrivacyLedger:
         if not cap > 0:
             raise PreconditionError("cap must be positive")
         self.cap = float(cap)
-        self._single: dict[int, float] = {}
         self._spans: list[tuple[int, int, float]] = []
 
     def spent(self, i: int) -> float:
-        total = self._single.get(i, 0.0)
-        for start, stop, amount in self._spans:
-            if start <= i < stop:
-                total += amount
-        return total
+        return sum((amount for start, stop, amount in self._spans
+                    if start <= i < stop), 0.0)
 
     @property
     def per_index_spent(self) -> dict[int, float]:
         """Materialized map; intended for small ledgers (tests, demos)."""
-        out = dict(self._single)
+        out: dict[int, float] = {}
         for start, stop, amount in self._spans:
             for i in range(start, stop):
                 out[i] = out.get(i, 0.0) + amount
         return out
-
-    def charge(self, i: int, amount: float):
-        if amount < 0:
-            raise PreconditionError("charge must be nonnegative")
-        if self.spent(i) + amount > self.cap + CHARGE_TOL:
-            raise BudgetExceeded(
-                f"index {i}: spent {self.spent(i):.6g} + {amount:.6g} exceeds "
-                f"cap {self.cap:.6g}"
-            )
-        self._single[i] = self._single.get(i, 0.0) + amount
 
     def charge_span(self, start: int, stop: int, amount: float):
         if amount < 0:
@@ -162,11 +199,9 @@ class PrivacyLedger:
             raise PreconditionError("empty or negative span")
         overlap = [(s, t, a) for s, t, a in self._spans
                    if s < stop and start < t]
-        # Summed spend peaks at an overlapping span's start or a single charge.
-        points = {start} | {s for s, _, _ in overlap if s > start} | {
-            i for i in self._single if start <= i < stop}
-        worst = max(self._single.get(i, 0.0)
-                    + sum(a for s, t, a in overlap if s <= i < t)
+        # Summed spend peaks at the start of the span or of an overlapping one.
+        points = {start} | {s for s, _, _ in overlap if s > start}
+        worst = max(sum(a for s, t, a in overlap if s <= i < t)
                     for i in points)
         if worst + amount > self.cap + CHARGE_TOL:
             raise BudgetExceeded(
@@ -174,19 +209,6 @@ class PrivacyLedger:
                 f"{worst:.6g} exceeds cap {self.cap:.6g}"
             )
         self._spans.append((start, stop, amount))
-
-
-def lr_invoke(ledger: PrivacyLedger, S, i: int, R: LocalRandomizer,
-              seed: int) -> object:
-    """Apply randomizer R to sample i of S, charging R.epsilon to the ledger."""
-    if ledger.spent(i) + R.epsilon > ledger.cap + CHARGE_TOL:
-        raise BudgetExceeded(
-            f"index {i} cannot afford epsilon {R.epsilon:.6g} "
-            f"(spent {ledger.spent(i):.6g} of cap {ledger.cap:.6g})"
-        )
-    message = R.apply(S.X[i], float(S.y[i]), derive_seed(seed, "lr-invoke", i))
-    ledger.charge(i, R.epsilon)
-    return message
 
 
 def _resolve_batch(S, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,36 +246,13 @@ def _coordinate_batches(S, q: StatQuery, start: int, batch: int) -> list:
             for j, span in enumerate(spans)]
 
 
-def ldp_estimate_mean(S, indices, phi, epsilon: float, seed: int) -> float:
-    """Estimate E[phi] from one randomized-response bit per batch sample.
-
-    phi is a query fn, or its values already evaluated on the batch rows
-    (the support rows for a SampleStream). Returns clamp(sum(o_i) / (c n),
-    -1, 1); the pre-clamp estimate is unbiased. Rows with multiplicity k
-    contribute a Binomial(k, p) count of +1 messages, identical in
-    distribution to k independent clients.
-    """
-    X, y, counts = _resolve_batch(S, indices)
-    n = int(counts.sum())
-    if n < 1:
-        raise PreconditionError("empty batch")
-    c = rr_coefficient(epsilon)
-    values = checked_values(phi(X, y) if callable(phi) else phi, y.shape)
-    p_plus = 0.5 + c * values / 2.0
-    rng = generator(seed)
-    plus = rng.binomial(counts, p_plus)
-    total = 2.0 * float(plus.sum()) - n
-    return float(np.clip(total / (c * n), -1.0, 1.0))
-
-
 @dataclass
-class LdpProtocolReport:
+class ProtocolReport:
     """Round structure, sample usage, and per-query records of a compiled run."""
 
     rounds: int
     samples_used: int
-    epsilon: float
-    per_round_randomizers: list = field(default_factory=list)
+    channel: Channel
     queries: list = field(default_factory=list)
     ledger: PrivacyLedger | None = None
 
@@ -261,7 +260,7 @@ class LdpProtocolReport:
         return {
             "rounds": self.rounds,
             "n": self.samples_used,
-            "epsilon": self.epsilon,
+            self.channel.budget_key: self.channel.budget,
             "queries": self.queries,
         }
 
@@ -269,30 +268,29 @@ class LdpProtocolReport:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def compile_sq_to_ldp(driver, S, epsilon: float, tau: float, delta: float,
-                      seed: int = 0) -> tuple[object, LdpProtocolReport]:
-    """Run an SQ driver against locally-randomized fresh-batch estimates.
+def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
+               seed: int = 0) -> tuple[object, ProtocolReport]:
+    """Run an SQ driver against fresh-batch estimates on a channel.
 
-    Every query coordinate is answered by ldp_estimate_mean on its own
-    contiguous batch of previously-untouched samples, so each client is
-    randomized exactly once and the whole run is epsilon-locally-private.
-    Budgeting reserves driver.max_queries batches up front; with probability
-    at least 1 - delta every answer is within tau of the true mean. The
-    report preserves the driver's round structure: a driver that asks
-    everything at once compiles to a one-round protocol.
+    Every query coordinate is answered by channel.estimate_mean on its own
+    contiguous batch of previously-untouched samples, so each client sends
+    exactly one message and spends the channel's budget once. Budgeting
+    reserves driver.max_queries batches up front; with probability at least
+    1 - delta every answer is within tau of the true mean. The report
+    preserves the driver's round structure: a driver that asks everything
+    at once compiles to a one-round protocol.
     """
     t = int(driver.max_queries)
-    batch = ldp_batch_size(t, tau, delta, epsilon)
+    batch = channel.batch_size(t, tau, delta)
     need = t * batch
     if len(S) < need:
         raise SizingError(
             f"need {need} samples ({t} queries x batch {batch}), have {len(S)}",
             required=need,
         )
-    ledger = PrivacyLedger(cap=epsilon)
-    report = LdpProtocolReport(
-        rounds=0, samples_used=0, epsilon=epsilon, ledger=ledger
-    )
+    ledger = PrivacyLedger(cap=channel.budget)
+    report = ProtocolReport(rounds=0, samples_used=0, channel=channel,
+                            ledger=ledger)
     cursor = 0
     query_index = 0
     round_index = 0
@@ -303,17 +301,14 @@ def compile_sq_to_ldp(driver, S, epsilon: float, tau: float, delta: float,
                 f"driver exceeded its declared bound of {t} queries"
             )
         answers = []
-        names = []
         for q in queries:
-            for j, (span, values) in enumerate(
-                    _coordinate_batches(S, q, cursor, batch)):
-                ledger.charge_span(span.start, span.stop, epsilon)
-                est = ldp_estimate_mean(
-                    S, span, values, epsilon,
-                    derive_seed(seed, "ldp-query", query_index),
+            for span, values in _coordinate_batches(S, q, cursor, batch):
+                ledger.charge_span(span.start, span.stop, channel.budget)
+                est = channel.estimate_mean(
+                    S, span, values,
+                    derive_seed(seed, channel.seed_label, query_index),
                 )
                 answers.append(est)
-                names.append(q.coordinate_name(j) or f"q{query_index}")
                 report.queries.append(
                     {
                         "round": round_index,
@@ -324,13 +319,18 @@ def compile_sq_to_ldp(driver, S, epsilon: float, tau: float, delta: float,
                 )
                 cursor += batch
                 query_index += 1
-        report.per_round_randomizers.append(names)
         nxt = driver.feed(answers)
         round_index += 1
         queries = list(nxt) if nxt is not None else []
     report.rounds = round_index
     report.samples_used = cursor
     return driver.result(), report
+
+
+def compile_sq_to_ldp(driver, S, epsilon: float, tau: float, delta: float,
+                      seed: int = 0) -> tuple[object, ProtocolReport]:
+    """compile_sq on the epsilon-locally-private channel."""
+    return compile_sq(driver, S, ldp_channel(epsilon), tau, delta, seed)
 
 
 def verify_randomizer_privacy(R: LocalRandomizer, sample_space) -> float:

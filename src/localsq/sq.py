@@ -61,12 +61,6 @@ class StatQuery:
         if self.width < 1:
             raise PreconditionError("a query needs at least one coordinate")
 
-    def coordinate_name(self, j: int) -> str:
-        """Name of coordinate j: the query's own name for a scalar query."""
-        if self.width == 1 or not self.name:
-            return self.name
-        return f"{self.name}{j}"
-
 
 def checked_values(values, shape: tuple) -> np.ndarray:
     """values as a float array; refused unless of this shape and in [-1, 1]."""

@@ -393,6 +393,17 @@ GOLDEN_DIGESTS = {
         "results.csv": "d316c9c7cbfc15c8267297d7b8624a1c335500accf4bd8960ce2ce362a47219f",
         "transcript.jsonl": "ccbe09b2e5255dfbb230288e08eebf9ca8a940437b59ffe79ed15420ed6d259a",
     }),
+    "learn-halfspace-comm": (["learn-halfspace", "--oracle", "comm", "--d",
+                              "10", "--seed", "0"], {
+        "halfspace_report.json": "6325acc6795248c3f32d4a3d56a060e8a24ea2fb2a7199a3118ee2b43b7e3e1c",
+        "hypothesis.json": "e1b25ff3905c2f1151e333274efa49a7b84db7c70581a6e765c51273d9d105c3",
+        "results.csv": "afcf16db8d3275438a5dc6128853639aa29bbc5ca5d460307f7c364dcbed572c",
+        "transcript.jsonl": "95ec574c7755f2d1e3e102805d63bf0918d44c83851be91a7a877831a08a2d08",
+    }),
+    "compile-report-comm": (["compile-report", "--channel", "comm", "--seed",
+                             "0"], {
+        "protocol_report.json": "d7ec2fc0412ec6c087d0d3f39b683238d30cc0a54f21d6d62c8773233e965658",
+    }),
     "learn-dl": (["learn-dl", "--seed", "1"], {
         "dl_hypothesis.json": "8c581c5dbdcbcff5de5a9c538ba4cc27e1680c0de872cbf64a71699bede95171",
         "dl_report.json": "baa9f4cc6d7e8cac7b4fde4ac0a9579fa2b0ad41a11f1239809eaf52ea817b65",

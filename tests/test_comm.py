@@ -1,10 +1,8 @@
-"""Tests for bit extraction, the bit ledger, and the SQ-to-COMM compiler."""
-
-import math
+"""Tests for the one-bit channel and the SQ-to-COMM compiler."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from localsq._rng import derive_seed
@@ -24,13 +22,10 @@ from localsq.errors import (
     SizingError,
 )
 from localsq.comm import (
-    BitExtractor,
-    BitLedger,
+    ONE_BIT,
     comm_batch_size,
     comm_estimate_mean,
-    comm_invoke,
     compile_sq_to_comm,
-    one_bit_extractor,
 )
 from localsq.ldp import ldp_batch_size
 from localsq.margin_learner import (
@@ -71,81 +66,46 @@ class NonInteractiveDriver:
 
 
 class TestOneBitExtractor:
+    """The one-bit channel's per-client model: Pr[+1] = (1 + v) / 2."""
+
+    x = np.array([0.0])
+
     def test_value_one_always_fires(self):
-        R = one_bit_extractor(lambda X, y: np.ones(len(X)))
-        draws = {R.apply(np.array([0.0]), 1.0, s) for s in range(50)}
-        assert draws == {(1,)}
+        R = ONE_BIT.randomizer(lambda X, y: np.ones(len(X)))
+        assert R.prob(self.x, 1.0, 1) == 1.0
+        assert {R.apply(self.x, 1.0, s) for s in range(50)} == {1}
 
     def test_zero_value_fair_bit(self):
-        R = one_bit_extractor(lambda X, y: np.zeros(len(X)))
-        ones = sum(R.apply(np.array([0.0]), 1.0, s)[0] for s in range(2000))
+        R = ONE_BIT.randomizer(lambda X, y: np.zeros(len(X)))
+        assert R.prob(self.x, 1.0, 1) == 0.5
+        ones = sum(R.apply(self.x, 1.0, s) == 1 for s in range(2000))
         assert abs(ones / 2000 - 0.5) < 0.05
 
     def test_half_value_three_quarters(self):
-        # Pr[1] = (1 + 0.5)/2 = 0.75.
-        R = one_bit_extractor(lambda X, y: np.full(len(X), 0.5))
-        ones = sum(R.apply(np.array([0.0]), 1.0, s)[0] for s in range(2000))
+        # Pr[+1] = (1 + 0.5)/2 = 0.75.
+        R = ONE_BIT.randomizer(lambda X, y: np.full(len(X), 0.5))
+        assert R.prob(self.x, 1.0, 1) == 0.75
+        ones = sum(R.apply(self.x, 1.0, s) == 1 for s in range(2000))
         assert abs(ones / 2000 - 0.75) < 0.05
 
     @given(st.floats(-1.0, 1.0))
     def test_debiased_bit_unbiased_analytically(self, value):
-        # E[2b - 1] = 2 * (1 + v)/2 - 1 = v.
-        p_one = (1.0 + value) / 2.0
-        assert 2.0 * p_one - 1.0 == pytest.approx(value, abs=1e-12)
+        # E[message] = (1 + v)/2 - (1 - v)/2 = v, and c = 1 debiases nothing.
+        R = ONE_BIT.randomizer(lambda X, y: np.full(len(X), value))
+        mean = sum(R.prob(self.x, 1.0, w) * R.debias(w)
+                   for w in R.message_space)
+        assert mean == pytest.approx(value, abs=1e-12)
 
     def test_range_violation_rejected(self):
-        R = one_bit_extractor(lambda X, y: 1.5 * np.ones(len(X)))
+        R = ONE_BIT.randomizer(lambda X, y: 1.5 * np.ones(len(X)))
         with pytest.raises(ContractViolation):
-            R.apply(np.array([0.0]), 1.0, 0)
+            R.apply(self.x, 1.0, 0)
 
     def test_malformed_extractor_output_rejected(self):
-        R = BitExtractor(bits=2, apply_fn=lambda x, y, s: (1,))
-        with pytest.raises(ContractViolation):
-            R.apply(np.array([0.0]), 1.0, 0)
-
-
-class TestBitLedger:
-    def test_one_bit_cap(self):
-        src = two_point_source()
-        S = sample(src, 4, seed=2)
-        ledger = BitLedger(cap=1)
-        R = one_bit_extractor(first_coord)
-        comm_invoke(ledger, S, 1, R, seed=5)
-        with pytest.raises(BudgetExceeded):
-            comm_invoke(ledger, S, 1, R, seed=6)
-
-    def test_three_bit_cap_allows_three(self):
-        src = two_point_source()
-        S = sample(src, 4, seed=2)
-        ledger = BitLedger(cap=3)
-        R = one_bit_extractor(first_coord)
-        for s in range(3):
-            comm_invoke(ledger, S, 0, R, seed=s)
-        assert ledger.spent(0) == 3.0
-
-    def test_spent_accumulates_extractor_sizes(self):
-        src = two_point_source()
-        S = sample(src, 4, seed=2)
-        ledger = BitLedger(cap=5)
-        wide = BitExtractor(bits=2, apply_fn=lambda x, y, s: (0, 1))
-        comm_invoke(ledger, S, 3, wide, seed=1)
-        comm_invoke(ledger, S, 3, wide, seed=2)
-        assert ledger.spent(3) == 4.0
-
-    def test_non_integer_cap_rejected(self):
+        # Messages are +-1; a 0/1 bit is outside the message space.
+        R = ONE_BIT.randomizer(first_coord)
         with pytest.raises(PreconditionError):
-            BitLedger(cap=1.5)
-
-    @given(st.lists(st.integers(0, 5), max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_no_sequence_can_exceed_cap(self, indices):
-        ledger = BitLedger(cap=2)
-        for i in indices:
-            try:
-                ledger.charge(i, 1.0)
-            except BudgetExceeded:
-                pass
-            assert ledger.spent(i) <= 2.0
+            R.prob(self.x, 1.0, 0)
 
 
 class TestCommEstimateMean:
@@ -188,7 +148,7 @@ class TestCompileToComm:
             NonInteractiveDriver([q]), stream, tau=0.2, delta=0.2, seed=2
         )
         assert report.rounds == 1
-        assert report.bits == 1
+        assert report.to_json()["bits"] == 1
         assert len(answers) == 1
 
     def test_answers_within_tau_of_exact(self):
@@ -264,6 +224,19 @@ class TestCompileToComm:
             expected = comm_estimate_mean(
                 S, rows, phi, derive_seed(seed, "comm-query", i))
             assert q["answer"] == expected, i
+
+    def test_each_client_spends_one_bit(self):
+        src = two_point_source()
+        qs = [StatQuery(fn=first_coord, tau=0.3, label_dependent=False)] * 2
+        n = 2 * comm_batch_size(2, 0.3, 0.2)
+        stream = SampleStream(src, n, seed=3)
+        _, report = compile_sq_to_comm(
+            NonInteractiveDriver(qs), stream, tau=0.3, delta=0.2, seed=1
+        )
+        assert report.ledger.cap == 1.0
+        assert report.ledger.per_index_spent == {i: 1.0 for i in range(n)}
+        with pytest.raises(BudgetExceeded):
+            report.ledger.charge_span(n - 1, n, 1)
 
     def test_report_json_uses_bits_key(self):
         src = two_point_source()

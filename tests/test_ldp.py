@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from localsq._rng import generator
+from localsq.comm import ONE_BIT
 from localsq.core import (
     Dataset,
     Explicit,
@@ -19,6 +21,7 @@ from localsq.core import (
     LabeledSource,
     Point,
     SampleStream,
+    counts_view,
     make_margin_source,
     sample,
 )
@@ -29,13 +32,13 @@ from localsq.errors import (
     SizingError,
 )
 from localsq.ldp import (
-    LdpProtocolReport,
     LocalRandomizer,
     PrivacyLedger,
+    ProtocolReport,
     compile_sq_to_ldp,
     ldp_batch_size,
+    ldp_channel,
     ldp_estimate_mean,
-    lr_invoke,
     rr_coefficient,
     rr_randomizer,
     verify_randomizer_privacy,
@@ -153,7 +156,6 @@ class TestVerifyPrivacy:
 
     def test_constant_randomizer_ratio_one(self):
         R = LocalRandomizer(
-            epsilon=1.0,
             message_space=(0,),
             apply_fn=lambda x, y, seed: 0,
             prob_fn=lambda x, y, w: 1.0,
@@ -164,7 +166,6 @@ class TestVerifyPrivacy:
 
     def test_identity_map_is_infinite_violation(self):
         R = LocalRandomizer(
-            epsilon=1.0,
             message_space=(0, 1),
             apply_fn=lambda x, y, seed: int(x[0] > 0),
             prob_fn=lambda x, y, w: 1.0 if w == int(x[0] > 0) else 0.0,
@@ -173,25 +174,26 @@ class TestVerifyPrivacy:
         space = [(np.array([1.0]), 1.0), (np.array([-1.0]), 1.0)]
         assert verify_randomizer_privacy(R, space) == math.inf
 
+    def test_one_bit_channel_is_not_private(self):
+        # c = 1 sends phi = +1 as +1 and phi = -1 as -1, always.
+        space = [(np.array([1.0]), 1.0), (np.array([-1.0]), 1.0)]
+        R = ONE_BIT.randomizer(first_coord)
+        assert verify_randomizer_privacy(R, space) == math.inf
+
 
 class TestPrivacyLedger:
     def test_single_invocation_then_refusal(self):
-        src = two_point_source()
-        S = sample(src, 5, seed=1)
         ledger = PrivacyLedger(cap=1.0)
-        R = rr_randomizer(first_coord, epsilon=1.0)
-        lr_invoke(ledger, S, 2, R, seed=7)
+        ledger.charge_span(2, 3, 1.0)
         assert ledger.spent(2) == pytest.approx(1.0)
+        assert ledger.spent(1) == ledger.spent(3) == 0.0
         with pytest.raises(BudgetExceeded):
-            lr_invoke(ledger, S, 2, R, seed=8)
+            ledger.charge_span(2, 3, 1.0)
 
     def test_double_budget_allows_two(self):
-        src = two_point_source()
-        S = sample(src, 3, seed=1)
         ledger = PrivacyLedger(cap=2.0)
-        R = rr_randomizer(first_coord, epsilon=1.0)
-        lr_invoke(ledger, S, 0, R, seed=1)
-        lr_invoke(ledger, S, 0, R, seed=2)
+        ledger.charge_span(0, 1, 1.0)
+        ledger.charge_span(0, 1, 1.0)
         assert ledger.spent(0) == pytest.approx(2.0)
 
     def test_span_charge_and_overlap_refusal(self):
@@ -206,7 +208,7 @@ class TestPrivacyLedger:
     def test_per_index_materialization(self):
         ledger = PrivacyLedger(cap=1.0)
         ledger.charge_span(0, 3, 0.5)
-        ledger.charge(1, 0.25)
+        ledger.charge_span(1, 2, 0.25)
         assert ledger.per_index_spent == pytest.approx(
             {0: 0.5, 1: 0.75, 2: 0.5}
         )
@@ -214,26 +216,25 @@ class TestPrivacyLedger:
     @given(
         st.lists(
             st.tuples(st.integers(1, 5), st.integers(0, 8),
-                      st.sampled_from([0.3, 0.5, 0.9, 1.1])),
+                      st.sampled_from([0.3, 0.5, 0.9, 1.0, 1.1])),
             max_size=25,
-        )
+        ),
+        st.sampled_from([1.0, 2.0]),
     )
-    @example([(10, 0, 0.5)] * 3)  # stacked spans, each below the cap
+    @example([(10, 0, 0.5)] * 3, 1.0)  # stacked spans, each below the cap
+    @example([(1, 3, 1.0)] * 3, 2.0)  # one client, one bit at a time
     @settings(max_examples=100, deadline=None)
-    def test_no_sequence_can_exceed_cap(self, calls):
-        # Single charges (width 1) mixed with span charges, against a
+    def test_no_sequence_can_exceed_cap(self, calls, cap):
+        # One-index spans (width 1) mixed with wider spans, against a
         # brute-force per-index model: a call is refused exactly when some
         # index it covers would go over the cap, and then records nothing.
-        ledger = PrivacyLedger(cap=1.0)
+        ledger = PrivacyLedger(cap=cap)
         model = [0.0] * 16
         for width, i, amount in calls:
             covered = range(i, i + width)
-            refuse = any(model[j] + amount > 1.0 + 1e-12 for j in covered)
+            refuse = any(model[j] + amount > cap + 1e-12 for j in covered)
             try:
-                if width == 1:
-                    ledger.charge(i, amount)
-                else:
-                    ledger.charge_span(i, i + width, amount)
+                ledger.charge_span(i, i + width, amount)
             except BudgetExceeded:
                 assert refuse
             else:
@@ -242,7 +243,7 @@ class TestPrivacyLedger:
                     model[j] += amount
             for j, spent in enumerate(model):
                 assert ledger.spent(j) == pytest.approx(spent)
-                assert ledger.spent(j) <= 1.0 + 1e-9
+                assert ledger.spent(j) <= cap + 1e-9
 
 
 class TestLdpEstimateMean:
@@ -444,5 +445,31 @@ class TestCompileToLdp:
             compile_sq_to_ldp(Liar(), stream, epsilon=1.0, tau=0.2, delta=0.2)
 
     def test_report_json_shape(self):
-        report = LdpProtocolReport(rounds=1, samples_used=10, epsilon=0.5)
+        report = ProtocolReport(rounds=1, samples_used=10,
+                                channel=ldp_channel(0.5))
         assert set(report.to_json()) == {"rounds", "n", "epsilon", "queries"}
+        assert report.to_json()["epsilon"] == 0.5
+
+
+class TestChannel:
+    @pytest.mark.parametrize("channel", [ldp_channel(0.5), ldp_channel(2.0),
+                                         ONE_BIT], ids=["ldp-0.5", "ldp-2",
+                                                        "one-bit"])
+    @pytest.mark.parametrize("value", [-1.0, -0.3, 0.0, 0.7, 1.0])
+    def test_estimate_draws_from_the_randomizer(self, channel, value):
+        # The estimator's binomial counts use the very probability the
+        # privacy check enumerates: R.prob(x, y, +1) for R on the channel.
+        def phi(X, y):
+            return np.full(len(X), value)
+
+        stream = SampleStream(make_margin_source(3, 0.3, 8, seed=2), 5_000,
+                              seed=19)
+        X, y, counts = counts_view(stream, 1_000, 5_000)
+        p = channel.randomizer(phi).prob(X[0], y[0], 1)
+        for seed in range(4):
+            plus = generator(seed).binomial(counts, np.full(len(counts), p))
+            total = 2.0 * float(plus.sum()) - 4_000
+            reference = float(np.clip(total / (channel.c * 4_000), -1.0, 1.0))
+            assert channel.estimate_mean(stream, range(1_000, 5_000), phi,
+                                         seed) == reference
+
