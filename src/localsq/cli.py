@@ -177,18 +177,12 @@ def _emit_json(outdir: Path, name: str, schema: str, obj) -> Path:
                   + "\n")
 
 
-def _emit_transcript(outdir: Path, entries: list) -> Path:
+def _emit_transcript(outdir: Path, transcript) -> Path:
     lines = []
-    for obj in entries:
+    for obj in transcript.records():
         validate_artifact("transcript_entry", obj)
-        lines.append(json.dumps(obj, sort_keys=True))
-    return _write(outdir, "transcript.jsonl",
-                  "\n".join(lines) + ("\n" if lines else ""))
-
-
-def _transcript_entries(transcript) -> list:
-    return [json.loads(line) for line in
-            transcript.to_jsonl().splitlines() if line.strip()]
+        lines.append(json.dumps(obj, sort_keys=True) + "\n")
+    return _write(outdir, "transcript.jsonl", "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +270,7 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
         seed=derive_seed(cfg.seed, "halfspace-run"),
     )
     error = classification_error(hyp, src)
-    if cfg.oracle == "exact":
-        proto_obj = None
-        entries = _transcript_entries(info.transcript)
-    else:
-        proto_obj = info.protocol_report.to_json()
-        entries = info.protocol_report.queries
+    proto = info.protocol_report
     report = {
         "command": "learn-halfspace",
         "seed": cfg.seed,
@@ -299,11 +288,11 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
         "samples": info.samples_used,
         "error": error,
         "learner": info.learner.to_json(),
-        "protocol": proto_obj,
+        "protocol": proto.to_json() if proto else None,
     }
     _emit_json(outdir, "hypothesis.json", "hypothesis", hyp.to_json())
     _emit_json(outdir, "halfspace_report.json", "halfspace_report", report)
-    _emit_transcript(outdir, entries)
+    _emit_transcript(outdir, info.transcript)
     _write(outdir, "results.csv", _csv_text(
         "learn-halfspace",
         ["command", "seed", "mode", "oracle", "ambient_dim", "working_dim",
@@ -347,13 +336,7 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
     if cfg.oracle == "exact":
         oracle = ExactOracle(src)
         learned = learn_decision_list_sq(oracle, learner_cfg)
-        profile = adaptivity_profile(oracle.transcript)
-        rounds = profile["rounds"]
-        dep_rounds = profile["label_dependent_rounds"]
-        queries = len(oracle.transcript.entries)
-        samples = 0
-        proto_obj = None
-        entries = _transcript_entries(oracle.transcript)
+        transcript, proto = oracle.transcript, None
     else:
         driver = DlDriver(learner_cfg)
         batch = ldp_batch_size(driver.max_queries, learner_cfg.tau,
@@ -364,13 +347,12 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
             driver, stream, cfg.epsilon, learner_cfg.tau, cfg.delta,
             seed=derive_seed(cfg.seed, "dl-ldp"),
         )
-        rounds = proto.rounds
-        dep_rounds = sorted({q["round"] for q in proto.queries
-                             if q["label_dep"]})
-        queries = len(proto.queries)
-        samples = proto.samples_used
-        proto_obj = proto.to_json()
-        entries = proto.queries
+        transcript = proto.transcript
+    profile = adaptivity_profile(transcript)
+    rounds = profile["rounds"]
+    dep_rounds = profile["label_dependent_rounds"]
+    queries = len(transcript)
+    samples = proto.samples_used if proto else 0
     error = classification_error(learned, src)
     report = {
         "command": "learn-dl",
@@ -383,26 +365,26 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
         "oracle": cfg.oracle,
         "epsilon": cfg.epsilon if cfg.oracle == "ldp" else None,
         "rounds": rounds,
-        "label_dependent_rounds": list(dep_rounds),
+        "label_dependent_rounds": dep_rounds,
         "queries": queries,
         "samples": samples,
         "error": error,
         "target": target.to_json(),
         "learned": learned.to_json(),
-        "protocol": proto_obj,
+        "protocol": proto.to_json() if proto else None,
     }
     _emit_json(outdir, "dl_report.json", "dl_report", report)
     _emit_json(outdir, "dl_hypothesis.json", "target", learned.to_json())
-    _emit_transcript(outdir, entries)
+    _emit_transcript(outdir, transcript)
     _write(outdir, "results.csv", _csv_text(
         "learn-dl",
         ["command", "seed", "dim", "length", "alpha", "oracle", "rounds",
          "label_dependent_rounds", "queries", "samples", "error"],
         [["learn-dl", cfg.seed, cfg.dim, cfg.length, cfg.alpha, cfg.oracle,
-          rounds, list(dep_rounds), queries, samples, error]],
+          rounds, dep_rounds, queries, samples, error]],
     ))
     print(f"learn-dl seed={cfg.seed}: error={error!r} alpha={cfg.alpha!r} "
-          f"rounds={rounds} label_dependent_rounds={list(dep_rounds)} "
+          f"rounds={rounds} label_dependent_rounds={dep_rounds} "
           f"out={outdir}")
     if cfg.check and error > cfg.alpha:
         raise CheckFailure(f"error {error!r} exceeds alpha {cfg.alpha!r}")
@@ -679,8 +661,8 @@ def separation_experiment(seed: int):
         "algorithm": "decision-list-sq",
         "class": "decision lists (d=6)",
         "rounds": proto.rounds,
-        "label_dependent_rounds": sorted(
-            {q["round"] for q in proto.queries if q["label_dep"]}),
+        "label_dependent_rounds": adaptivity_profile(
+            proto.transcript)["label_dependent_rounds"],
         "samples": proto.samples_used,
         "final_error": classification_error(learned, src),
     })
@@ -707,9 +689,8 @@ def separation_experiment(seed: int):
         "algorithm": "halfspace-psgd",
         "class": "margin halfspaces (d=20)",
         "rounds": info.rounds,
-        "label_dependent_rounds": sorted(
-            {q["round"] for q in info.protocol_report.queries
-             if q["label_dep"]}),
+        "label_dependent_rounds": adaptivity_profile(
+            info.transcript)["label_dependent_rounds"],
         "samples": info.samples_used,
         "final_error": classification_error(hyp, hs_src),
     })

@@ -11,10 +11,9 @@ demonstrations need exact means, not estimates.
 from __future__ import annotations
 
 import io
-import json
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 

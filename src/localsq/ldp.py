@@ -24,7 +24,8 @@ import numpy as np
 from ._rng import derive_seed, generator
 from .core import SampleStream, counts_view
 from .errors import BudgetExceeded, PreconditionError, SizingError
-from .sq import StatQuery, checked_values, evaluate_block
+from .sq import InteractivityTranscript, StatQuery, TranscriptEntry, \
+    checked_values, evaluate_block
 
 CHARGE_TOL = 1e-12
 
@@ -248,13 +249,23 @@ def _coordinate_batches(S, q: StatQuery, start: int, batch: int) -> list:
 
 @dataclass
 class ProtocolReport:
-    """Round structure, sample usage, and per-query records of a compiled run."""
+    """Round structure, sample usage, and the transcript of a compiled run.
+
+    The transcript is the same record the SQ oracles keep: one entry per
+    answered coordinate, tagged with its round and label flag.
+    """
 
     rounds: int
     samples_used: int
     channel: Channel
-    queries: list = field(default_factory=list)
+    transcript: InteractivityTranscript = field(
+        default_factory=InteractivityTranscript)
     ledger: PrivacyLedger | None = None
+
+    @property
+    def queries(self) -> list[dict]:
+        """The transcript's entries as records, one per answered coordinate."""
+        return self.transcript.records()
 
     def to_json(self) -> dict:
         return {
@@ -276,9 +287,10 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
     contiguous batch of previously-untouched samples, so each client sends
     exactly one message and spends the channel's budget once. Budgeting
     reserves driver.max_queries batches up front; with probability at least
-    1 - delta every answer is within tau of the true mean. The report
-    preserves the driver's round structure: a driver that asks everything
-    at once compiles to a one-round protocol.
+    1 - delta every answer is within tau of the true mean. The report's
+    transcript records each answer under its round, so it preserves the
+    driver's round structure: a driver that asks everything at once
+    compiles to a one-round protocol.
     """
     t = int(driver.max_queries)
     batch = channel.batch_size(t, tau, delta)
@@ -309,14 +321,8 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
                     derive_seed(seed, channel.seed_label, query_index),
                 )
                 answers.append(est)
-                report.queries.append(
-                    {
-                        "round": round_index,
-                        "label_dep": q.label_dependent,
-                        "tau": tau,
-                        "answer": est,
-                    }
-                )
+                report.transcript.append(
+                    TranscriptEntry(round_index, q.label_dependent, tau, est))
                 cursor += batch
                 query_index += 1
         nxt = driver.feed(answers)

@@ -21,7 +21,6 @@ from .core import (
     Explicit,
     FiniteDistribution,
     LabeledSource,
-    Point,
     TargetFunction,
     classification_error,
     embed_hypercube,
@@ -438,26 +437,14 @@ def negation_fooling_demo(driver_factory, targets, X, m: int,
                 "label-dependent queries must declare tolerance >= 1/m"
             )
     hset = HypothesisSet(tuple(decompose(q).h for q in label_dep))
-    chosen = None
-    if hset.m == 0:
-        uniform = FiniteDistribution(
-            points, np.full(len(points), 1.0 / len(points))
-        )
-        chosen = AdversarialCertificate(dist=uniform, value=0.0,
-                                        target=targets[0])
-    else:
-        for f in targets:
-            cert = worst_correlation_distribution(f, hset, points)
-            if cert.value < threshold:
-                chosen = cert
-                break
-    if chosen is None:
+    cover = correlation_cover_check(hset, targets, points, threshold)
+    if cover.covered:
         return NegationFoolingReport(
             found=False, certificate=None, answers_target=(),
             answers_negation=(), identical_transcripts=False,
             error_target=0.0, error_negation=0.0,
         )
-    f = chosen.target
+    f, chosen = cover.witness
     neg = f.negate()
     runs = []
     for target in (f, neg):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .core import (
     Explicit,
     FiniteDistribution,
     LabeledSource,
-    LinearThreshold,
     Point,
     SampleStream,
     signp,
@@ -168,7 +167,6 @@ class MarginLearnerState:
     w: np.ndarray
     grad_f2: np.ndarray | None = None
     iteration: int = 0
-    transcript: InteractivityTranscript | None = None
 
 
 def grad_f1(w: np.ndarray, ask: AskFn, params: SurrogateParams,
@@ -487,9 +485,9 @@ class HalfspaceRunInfo:
     projected: bool
     learner: LearnerReport
     rounds: int
+    transcript: InteractivityTranscript
     samples_used: int = 0
     protocol_report: object | None = None
-    transcript: InteractivityTranscript | None = None
 
 
 def learn_halfspace(
@@ -546,24 +544,11 @@ def learn_halfspace(
     else:
         driver = HalfspaceDriver(params, settings)
 
+    protocol = None
     if oracle == "exact":
         ex = ExactOracle(working)
         run_driver(driver, ex.ask)
-        w_bar = driver.result()
-        info = HalfspaceRunInfo(
-            mode=mode,
-            oracle=oracle,
-            ambient_dim=d,
-            working_dim=proj.target_dim,
-            gamma_effective=gamma_eff,
-            projected=projected,
-            learner=driver.report,
-            rounds=ex.transcript.rounds_used(),
-            transcript=ex.transcript,
-        )
-        info.learner.label_non_adaptive = assert_label_non_adaptive(
-            ex.transcript
-        )
+        w_bar, transcript = driver.result(), ex.transcript
     else:
         tau = driver.per_coord_tol / (2.0 * params.dim)
         if oracle == "ldp":
@@ -586,22 +571,21 @@ def learn_halfspace(
                 driver, stream, tau, sim_delta,
                 seed=derive_seed(seed, "halfspace-comm"),
             )
-        info = HalfspaceRunInfo(
-            mode=mode,
-            oracle=oracle,
-            ambient_dim=d,
-            working_dim=proj.target_dim,
-            gamma_effective=gamma_eff,
-            projected=projected,
-            learner=driver.report,
-            rounds=protocol.rounds,
-            samples_used=protocol.samples_used,
-            protocol_report=protocol,
-        )
-        label_dep_rounds = {
-            q["round"] for q in protocol.queries if q["label_dep"]
-        }
-        info.learner.label_non_adaptive = label_dep_rounds <= {0}
+        transcript = protocol.transcript
+    info = HalfspaceRunInfo(
+        mode=mode,
+        oracle=oracle,
+        ambient_dim=d,
+        working_dim=proj.target_dim,
+        gamma_effective=gamma_eff,
+        projected=projected,
+        learner=driver.report,
+        rounds=transcript.rounds_used(),
+        transcript=transcript,
+        samples_used=protocol.samples_used if protocol else 0,
+        protocol_report=protocol,
+    )
+    info.learner.label_non_adaptive = assert_label_non_adaptive(transcript)
     return HalfspaceHypothesis(proj=proj, w=np.asarray(w_bar)), info
 
 

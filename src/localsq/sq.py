@@ -116,6 +116,18 @@ class TranscriptEntry:
     answer: float
     scale: float = 1.0
 
+    def to_json(self) -> dict:
+        """The entry as one transcript line's record; scale only when not 1."""
+        obj = {
+            "round": self.round,
+            "label_dep": self.label_dependent,
+            "tau": self.tolerance,
+            "answer": self.answer,
+        }
+        if self.scale != 1.0:
+            obj["scale"] = self.scale
+        return obj
+
 
 class InteractivityTranscript:
     """Ordered record of answered queries; rounds must be nondecreasing."""
@@ -135,25 +147,15 @@ class InteractivityTranscript:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def answers(self) -> list[float]:
-        return [e.answer for e in self.entries]
-
     def rounds_used(self) -> int:
         return 0 if not self.entries else self.entries[-1].round + 1
 
+    def records(self) -> list[dict]:
+        return [e.to_json() for e in self.entries]
+
     def to_jsonl(self) -> str:
-        lines = []
-        for e in self.entries:
-            obj = {
-                "round": e.round,
-                "label_dep": e.label_dependent,
-                "tau": e.tolerance,
-                "answer": e.answer,
-            }
-            if e.scale != 1.0:
-                obj["scale"] = e.scale
-            lines.append(json.dumps(obj, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps(obj, sort_keys=True) + "\n"
+                       for obj in self.records())
 
     @classmethod
     def from_jsonl(cls, text: str) -> "InteractivityTranscript":

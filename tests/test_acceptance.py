@@ -56,9 +56,7 @@ from localsq.margin_learner import (
 )
 from localsq.sq import (
     ExactOracle,
-    InteractivityTranscript,
     StatQuery,
-    TranscriptEntry,
     assert_label_non_adaptive,
 )
 
@@ -285,15 +283,6 @@ def test_criterion_05_gradients():
 # 6. End-to-end halfspace learner at desk scale, both oracle modes.
 
 
-def _ldp_query_transcript(protocol):
-    t = InteractivityTranscript()
-    for q in protocol.queries:
-        t.append(TranscriptEntry(round=q["round"],
-                                 label_dependent=q["label_dep"],
-                                 tolerance=q["tau"], answer=q["answer"]))
-    return t
-
-
 @criterion(6, "halfspace learner error and adaptivity", 600.0)
 def test_criterion_06_halfspace():
     d, gamma, alpha, delta = 50, 0.3, 0.15, 0.05
@@ -307,10 +296,7 @@ def test_criterion_06_halfspace():
                 src, gamma, alpha, delta, mode="distribution_free",
                 oracle=oracle, epsilon=1.0,
                 seed=derive_seed(0, f"acc6-{oracle}-run", i))
-            if oracle == "exact":
-                transcript = info.transcript
-            else:
-                transcript = _ldp_query_transcript(info.protocol_report)
+            transcript = info.transcript
             assert assert_label_non_adaptive(transcript), (oracle, i)
             dep = sum(1 for e in transcript.entries if e.label_dependent)
             assert dep == info.working_dim == d, (oracle, i, dep)
@@ -432,8 +418,7 @@ def test_criterion_10_decision_list():
                     hyp, protocol = compile_sq_to_ldp(
                         driver, S, epsilon=1.0, tau=cfg.tau, delta=0.05,
                         seed=derive_seed(0, "acc10-chan", i))
-                    profile = adaptivity_profile(
-                        _ldp_query_transcript(protocol))
+                    profile = adaptivity_profile(protocol.transcript)
             except LearningFailure:
                 continue
             if profile["rounds"] > 1:

@@ -410,6 +410,16 @@ GOLDEN_DIGESTS = {
         "results.csv": "ec5c572d4f6040d08a343dd85e05820e89d20ae8e02593a7918847e0ce5db91a",
         "transcript.jsonl": "422d944120b7b89227e90d5e24acc8812b58ea5a8c4a5cc7b13393fc737578bc",
     }),
+    "learn-dl-ldp": (["learn-dl", "--oracle", "ldp", "--seed", "1"], {
+        "dl_hypothesis.json": "02d350cb2bdb1fc25f703d24bfa04f6538d6de99f7ebdeadc050d779c3b41c82",
+        "dl_report.json": "04742a07275243a0a9edf7953551edcecc48e61f60e7055663ccaef50adbb9de",
+        "results.csv": "e62732b0a125560ed81399d570adc021ac998ed0dd7fb57ed3625381ba75f945",
+        "transcript.jsonl": "417aeda9c127448e872b4859c1a4e6383d196294d377e160a4d56d324b0afc64",
+    }),
+    "separation": (["separation", "--seed", "0"], {
+        "separation.csv": "dced02a00fb9b20f206017677d94c1da80785af085437b31c298eebe17d1a9c4",
+        "separation.json": "479b4eb018cf3a1f9f22e19862affd6fc91ac9d74a29ad1c735e8152f5f8928d",
+    }),
     "jl-check": (["jl-check", "--seed", "0"], {
         "jl_report.json": "663dee80231e93dade4cc3aacf9f059ee2ee0b1e3e062b5ffdaa5607a98ed25f",
         "jl_trials.csv": "bf7780215dc9e4908f541989aa381160f77114129d0e3e4ff6dc2940e32a1fc4",

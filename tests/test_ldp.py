@@ -35,6 +35,7 @@ from localsq.ldp import (
     LocalRandomizer,
     PrivacyLedger,
     ProtocolReport,
+    compile_sq,
     compile_sq_to_ldp,
     ldp_batch_size,
     ldp_channel,
@@ -43,7 +44,7 @@ from localsq.ldp import (
     rr_randomizer,
     verify_randomizer_privacy,
 )
-from localsq.sq import ExactOracle, StatQuery
+from localsq.sq import ExactOracle, InteractivityTranscript, StatQuery
 
 
 def first_coord(X, y):
@@ -399,6 +400,24 @@ class TestCompileToLdp:
         )
         assert report.rounds == 2
         assert [q["round"] for q in report.queries] == [0, 1]
+
+    @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
+                             ids=["ldp", "one-bit"])
+    def test_report_keeps_the_oracle_transcript(self, channel):
+        src = two_point_source()
+        block = StatQuery(fn=lambda X, y: np.column_stack([X[:, 0], y]),
+                          tau=0.2, label_dependent=True, width=2)
+        driver = NonInteractiveDriver([block])
+        driver.max_queries = 2
+        stream = SampleStream(src, 2 * channel.batch_size(2, 0.2, 0.2),
+                              seed=23)
+        answers, report = compile_sq(driver, stream, channel, 0.2, 0.2,
+                                     seed=3)
+        assert isinstance(report.transcript, InteractivityTranscript)
+        assert [e.answer for e in report.transcript.entries] == answers
+        assert report.to_json()["queries"] == report.transcript.records()
+        back = InteractivityTranscript.from_jsonl(report.transcript.to_jsonl())
+        assert back.entries == report.transcript.entries
 
     def test_sizing_error_reports_requirement(self):
         src = two_point_source()

@@ -397,6 +397,14 @@ class TestLearnHalfspace:
         assert len(label_dep) == info.working_dim
         assert {q["round"] for q in label_dep} == {0}
 
+    @pytest.mark.parametrize("oracle", ["ldp", "comm"])
+    def test_compiled_run_keeps_the_protocol_transcript(self, oracle):
+        src = make_margin_source(5, 0.3, 30, seed=3)
+        _, info = learn_halfspace(src, 0.3, 0.15, 0.05, oracle=oracle, seed=3)
+        assert info.transcript is info.protocol_report.transcript
+        assert info.rounds == info.protocol_report.rounds == 60
+        assert assert_label_non_adaptive(info.transcript)
+
     def test_projection_engaged_for_large_gamma(self):
         # The failure budget is split evenly, so the map is built at delta/2:
         # gamma=0.8, delta=0.3 -> dim = ceil(32 ln(1/0.15)/0.64) = 95.
