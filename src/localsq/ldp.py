@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -169,47 +170,72 @@ def ldp_estimate_mean(S, indices, phi, epsilon: float, seed: int) -> float:
 class PrivacyLedger:
     """Per-client accounting of epsilon or bits with a hard cap.
 
-    Charges cover contiguous index spans, so that million-client runs stay
-    O(#batches); a one-client charge is a one-index span. A charge that
-    would push any index past the cap raises before recording anything.
+    The spend is a piecewise-constant function of the client index, kept as
+    sorted breakpoints `_bounds` (starting at 0) and the spend `_levels[k]`
+    on each piece [_bounds[k], _bounds[k+1]); the last piece runs to
+    infinity and holds 0. Memory is O(#breakpoints) however many clients a
+    span covers. A charge bisects to the pieces its span covers, so it and
+    a `spent` lookup cost O(log n) plus the pieces touched; the disjoint,
+    increasing spans `compile_sq` charges cost two bisects and an append.
+    A one-client charge is a one-index span.
     """
 
     def __init__(self, cap: float):
         if not cap > 0:
             raise PreconditionError("cap must be positive")
         self.cap = float(cap)
-        self._spans: list[tuple[int, int, float]] = []
+        self._bounds: list[int] = [0]
+        self._levels: list[float] = [0.0]
 
     def spent(self, i: int) -> float:
-        return sum((amount for start, stop, amount in self._spans
-                    if start <= i < stop), 0.0)
+        if i < 0:
+            return 0.0
+        return self._levels[bisect_right(self._bounds, i) - 1]
 
     @property
     def per_index_spent(self) -> dict[int, float]:
-        """Materialized map; intended for small ledgers (tests, demos)."""
-        out: dict[int, float] = {}
-        for start, stop, amount in self._spans:
-            for i in range(start, stop):
-                out[i] = out.get(i, 0.0) + amount
-        return out
+        """Map of every index with positive spend to its spend.
+
+        A zero-amount charge leaves it unchanged. Materialized, so intended
+        for small ledgers (tests, demos).
+        """
+        return {i: level
+                for lo, hi, level in zip(self._bounds, self._bounds[1:],
+                                         self._levels)
+                if level > 0 for i in range(lo, hi)}
 
     def charge_span(self, start: int, stop: int, amount: float):
+        """Charge `amount` to every client in [start, stop), as a filter.
+
+        Refuses with BudgetExceeded, before recording anything, when the
+        summed spend of some index in the span plus `amount` would pass the
+        cap; the message reports the largest existing spend in the span.
+        """
         if amount < 0:
             raise PreconditionError("charge must be nonnegative")
         if not 0 <= start < stop:
             raise PreconditionError("empty or negative span")
-        overlap = [(s, t, a) for s, t, a in self._spans
-                   if s < stop and start < t]
-        # Summed spend peaks at the start of the span or of an overlapping one.
-        points = {start} | {s for s, _, _ in overlap if s > start}
-        worst = max(sum(a for s, t, a in overlap if s <= i < t)
-                    for i in points)
+        bounds, levels = self._bounds, self._levels
+        # Pieces lo..hi-1 meet the span: piece lo holds start, and hi is
+        # the first breakpoint at or after stop (len(bounds) if none).
+        lo = bisect_right(bounds, start) - 1
+        hi = bisect_left(bounds, stop)
+        worst = max(levels[lo:hi])
         if worst + amount > self.cap + CHARGE_TOL:
             raise BudgetExceeded(
                 f"span [{start}, {stop}): spending {amount:.6g} over existing "
                 f"{worst:.6g} exceeds cap {self.cap:.6g}"
             )
-        self._spans.append((start, stop, amount))
+        if bounds[lo] != start:
+            lo += 1
+            hi += 1
+            bounds.insert(lo, start)
+            levels.insert(lo, levels[lo - 1])
+        if hi == len(bounds) or bounds[hi] != stop:
+            bounds.insert(hi, stop)
+            levels.insert(hi, levels[hi - 1])
+        for k in range(lo, hi):
+            levels[k] += amount
 
 
 def _resolve_batch(S, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,12 +281,16 @@ class ProtocolReport:
     answered coordinate, tagged with its round and label flag.
     """
 
-    rounds: int
     samples_used: int
     channel: Channel
     transcript: InteractivityTranscript = field(
         default_factory=InteractivityTranscript)
     ledger: PrivacyLedger | None = None
+
+    @property
+    def rounds(self) -> int:
+        """Rounds the run used, read from its transcript."""
+        return self.transcript.rounds_used()
 
     @property
     def queries(self) -> list[dict]:
@@ -301,8 +331,7 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
             required=need,
         )
     ledger = PrivacyLedger(cap=channel.budget)
-    report = ProtocolReport(rounds=0, samples_used=0, channel=channel,
-                            ledger=ledger)
+    report = ProtocolReport(samples_used=0, channel=channel, ledger=ledger)
     cursor = 0
     query_index = 0
     round_index = 0
@@ -328,7 +357,6 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
         nxt = driver.feed(answers)
         round_index += 1
         queries = list(nxt) if nxt is not None else []
-    report.rounds = round_index
     report.samples_used = cursor
     return driver.result(), report
 

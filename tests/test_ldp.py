@@ -6,6 +6,7 @@ margins; ledger safety is a hypothesis property over random call sequences.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -213,6 +214,45 @@ class TestPrivacyLedger:
         assert ledger.per_index_spent == pytest.approx(
             {0: 0.5, 1: 0.75, 2: 0.5}
         )
+
+    def test_refusal_reports_peak_existing_spend(self):
+        # Out-of-order, overlapping charges: the refusal names the largest
+        # spend inside the span (index 5), not the spend at its start.
+        ledger = PrivacyLedger(cap=2.0)
+        ledger.charge_span(0, 10, 0.5)
+        ledger.charge_span(5, 8, 1.0)
+        with pytest.raises(BudgetExceeded, match="over existing 1.5 "):
+            ledger.charge_span(2, 6, 1.0)
+        ledger.charge_span(0, 5, 1.0)
+        assert ledger.per_index_spent == {
+            0: 1.5, 1: 1.5, 2: 1.5, 3: 1.5, 4: 1.5,
+            5: 1.5, 6: 1.5, 7: 1.5, 8: 0.5, 9: 0.5,
+        }
+
+    def test_zero_charge_and_negative_index(self):
+        # A zero-amount charge is accepted but lists no index; an index
+        # below 0 was never charged.
+        ledger = PrivacyLedger(cap=1.0)
+        ledger.charge_span(3, 6, 0.0)
+        ledger.charge_span(4, 5, 1.0)
+        ledger.charge_span(4, 5, 0.0)
+        assert ledger.per_index_spent == {4: 1.0}
+        assert ledger.spent(-1) == 0.0
+        assert ledger.spent(3) == 0.0
+
+    def test_disjoint_increasing_charges_scale(self):
+        # The compiler's pattern: fresh, adjacent spans in increasing order.
+        width, n = 600, 20_000
+        ledger = PrivacyLedger(cap=1.0)
+        t0 = time.perf_counter()
+        for k in range(n):
+            ledger.charge_span(k * width, (k + 1) * width, 1.0)
+        assert time.perf_counter() - t0 < 1.0
+        stop = n * width
+        assert ledger.spent(stop - 1) == 1.0
+        assert ledger.spent(stop) == 0.0
+        with pytest.raises(BudgetExceeded):
+            ledger.charge_span(width - 1, width, 0.5)
 
     @given(
         st.lists(
@@ -464,8 +504,7 @@ class TestCompileToLdp:
             compile_sq_to_ldp(Liar(), stream, epsilon=1.0, tau=0.2, delta=0.2)
 
     def test_report_json_shape(self):
-        report = ProtocolReport(rounds=1, samples_used=10,
-                                channel=ldp_channel(0.5))
+        report = ProtocolReport(samples_used=10, channel=ldp_channel(0.5))
         assert set(report.to_json()) == {"rounds", "n", "epsilon", "queries"}
         assert report.to_json()["epsilon"] == 0.5
 
