@@ -110,7 +110,7 @@ class Channel:
         values = checked_values(phi(X, y) if callable(phi) else phi, y.shape)
         plus = generator(seed).binomial(counts, self.p_plus(values))
         total = 2.0 * float(plus.sum()) - n
-        return float(np.clip(total / (self.c * n), -1.0, 1.0))
+        return float(min(max(total / (self.c * n), -1.0), 1.0))
 
     def randomizer(self, phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
                    ) -> LocalRandomizer:

@@ -4,7 +4,11 @@ The central question: given a fixed set of label-correlation directions
 h_1..h_m, how well can a distribution D suppress every |E_D[f h_i]|? The
 minimax value is a linear program over the probability simplex, solved here
 by a small self-contained dense simplex method (the instances have at most
-a few hundred variables, so no external solver is warranted). A value below
+a few hundred variables, so no external solver is warranted). Each pivot
+updates, in one numpy statement, only the rows with a nonzero in the pivot
+column, and the ratio test is computed as one vector; Bland's rule, with
+its sequential tie-break over the candidate rows, fixes the pivot sequence
+and so every bit of the result. A value below
 1/m certifies that an adversarial tolerance-1/m oracle can answer every
 query of a label-non-adaptive learner without revealing the sign of the
 target, which the fooling demo then exhibits end to end.
@@ -69,40 +73,43 @@ class LpSolution:
     iterations: int
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    # Only rows with a nonzero in the pivot column change: subtracting 0*x
+    # elsewhere could turn a -0.0 into 0.0.
+    rows = T[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    T[rows] -= T[rows, col, None] * T[row]
     basis[row] = col
 
 
-def _simplex_phase(T, basis, cost, eligible, max_iterations, dump_label):
-    """Bland-rule pivoting until no eligible reduced cost is negative."""
+def _simplex_phase(T, basis, cost, total, max_iterations, dump_label):
+    """Bland-rule pivoting until no reduced cost among the first `total`
+    columns is negative."""
     iterations = 0
     while True:
         reduced = cost - cost[basis] @ T[:, :-1]
-        entering = -1
-        for j in eligible:
-            if reduced[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        negative = reduced[:total] < -_PIVOT_TOL
+        entering = int(negative.argmax())
+        if not negative[entering]:
             return iterations
-        best_row, best_ratio = -1, np.inf
-        for i in range(T.shape[0]):
-            coef = T[i, entering]
-            if coef > _PIVOT_TOL:
-                ratio = T[i, -1] / coef
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (best_row < 0 or basis[i] < basis[best_row])
-                ):
-                    best_row, best_ratio = i, ratio
+        column = T[:, entering]
+        rows = (column > _PIVOT_TOL).nonzero()[0]
+        ratios = T[rows, -1] / column[rows]
+        # Sequential on purpose: near-ties inside the 1e-12 window chain,
+        # so "smallest ratio, then lowest basis index" is not the same rule.
+        best_row, best_ratio, best_var = -1, np.inf, -1
+        for i, ratio, var in zip(rows.tolist(), ratios.tolist(),
+                                 basis[rows].tolist()):
+            if ratio < best_ratio - 1e-12 or (
+                abs(ratio - best_ratio) <= 1e-12
+                and (best_row < 0 or var < best_var)
+            ):
+                best_row, best_ratio, best_var = i, ratio, var
         if best_row < 0:
             raise SolverError(
                 f"{dump_label}: unbounded direction",
-                dump={"entering": entering, "basis": list(basis)},
+                dump={"entering": entering, "basis": basis.tolist()},
             )
         _pivot(T, basis, best_row, entering)
         iterations += 1
@@ -111,7 +118,7 @@ def _simplex_phase(T, basis, cost, eligible, max_iterations, dump_label):
                 f"{dump_label}: iteration cap {max_iterations} exceeded",
                 dump={
                     "iterations": iterations,
-                    "basis": list(basis),
+                    "basis": basis.tolist(),
                     "objective": float(cost[basis] @ T[:, -1]),
                 },
             )
@@ -142,8 +149,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     if not blocks:
         raise PreconditionError("the program has no constraints")
     total = n + n_ub
-    A = np.vstack([np.pad(blk, ((0, 0), (0, total - blk.shape[1])))
-                   for blk in blocks])
+    A = np.vstack(blocks)
     b = np.concatenate(rhs_parts)
     flip = b < 0
     A[flip] *= -1.0
@@ -152,15 +158,14 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
 
     # Phase 1: artificial basis, minimize the infeasibility sum.
     T = np.hstack([A, np.eye(m_rows), b[:, None]])
-    basis = list(range(total, total + m_rows))
+    basis = np.arange(total, total + m_rows)
     cost1 = np.concatenate([np.zeros(total), np.ones(m_rows)])
-    iters = _simplex_phase(T, basis, cost1, range(total), max_iterations,
-                           "phase 1")
+    iters = _simplex_phase(T, basis, cost1, total, max_iterations, "phase 1")
     infeasibility = float(cost1[basis] @ T[:, -1])
     if infeasibility > 1e-9:
         raise SolverError(
             "no feasible point found",
-            dump={"infeasibility": infeasibility, "basis": list(basis)},
+            dump={"infeasibility": infeasibility, "basis": basis.tolist()},
         )
     # Pivot leftover artificials out; rows that cannot pivot are redundant.
     keep = np.ones(m_rows, dtype=bool)
@@ -175,17 +180,15 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
         T = T[keep]
         A = A[keep]
         b = b[keep]
-        basis = [bv for bv, k in zip(basis, keep) if k]
+        basis = basis[keep]
 
     # Phase 2 on the real columns.
     T = np.hstack([T[:, :total], T[:, -1:]])
     cost2 = np.concatenate([c, np.zeros(n_ub)])
-    iters += _simplex_phase(T, basis, cost2, range(total), max_iterations,
-                            "phase 2")
+    iters += _simplex_phase(T, basis, cost2, total, max_iterations, "phase 2")
 
     x_full = np.zeros(total)
-    for i, bv in enumerate(basis):
-        x_full[bv] = T[i, -1]
+    x_full[basis] = T[:, -1]
     x = x_full[:n]
     value = float(c @ x)
     dual = np.linalg.solve(A[:, basis].T, cost2[basis])
@@ -198,24 +201,47 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
 # Hypothesis sets and adversarial certificates.
 
 
+def _row_keys(M: np.ndarray) -> np.ndarray:
+    """One opaque key per row: comparing keys compares the rows' bytes."""
+    M = np.ascontiguousarray(M)
+    return M.view(np.dtype((np.void, M.itemsize * M.shape[1]))).ravel()
+
+
 def table_function(points, values):
-    """A [-1,1]-valued lookup function over an explicit point list."""
-    keyed = {}
-    for p, v in zip(points, values):
-        v = float(v)
-        if abs(v) > 1.0 + 1e-12:
-            raise PreconditionError("table values must lie in [-1, 1]")
-        keyed[p.coords.tobytes()] = v
+    """A [-1,1]-valued lookup function over an explicit point list.
+
+    A queried row matches a point when their float64 bytes are equal, so
+    -0.0 does not match 0.0. When a point repeats, its last value wins.
+    """
+    coords = [p.coords for p in points]
+    table = np.asarray(values, dtype=float).reshape(-1)
+    if not coords or table.size != len(coords):
+        raise PreconditionError("need one value for each of at least one point")
+    if (np.abs(table) > 1.0 + 1e-12).any():
+        raise PreconditionError("table values must lie in [-1, 1]")
+    width = len(coords[0])
+    if width == 0 or set(map(len, coords)) != {width}:
+        raise PreconditionError("table points must share one nonzero dimension")
+    # Point coordinates are contiguous float64 vectors, so joining their
+    # buffers is the fast way to stack them. A stable sort keeps repeated
+    # points in list order, so the rightmost match is the last occurrence.
+    keys = _row_keys(np.frombuffer(b"".join(coords)).reshape(-1, width))
+    order = keys.argsort(kind="stable")
+    keys, table = keys[order], table[order]
 
     def fn(X):
         X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            key = np.ascontiguousarray(X[i]).tobytes()
-            if key not in keyed:
-                raise EvaluationError("function undefined on a queried point")
-            out[i] = keyed[key]
-        return out
+        if X.shape[0] == 0:
+            return np.empty(0)
+        X = X.reshape(X.shape[0], -1)
+        if X.shape[1] != width:
+            raise EvaluationError("function undefined on a queried point")
+        queried = _row_keys(X)
+        # -1 (below every key) wraps to the largest key, which differs.
+        at = keys.searchsorted(queried, side="right") - 1
+        if not np.all(keys[at] == queried):
+            raise EvaluationError("function undefined on a queried point")
+        return table[at]
 
     return fn
 

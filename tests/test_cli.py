@@ -420,6 +420,16 @@ GOLDEN_DIGESTS = {
         "separation.csv": "dced02a00fb9b20f206017677d94c1da80785af085437b31c298eebe17d1a9c4",
         "separation.json": "479b4eb018cf3a1f9f22e19862affd6fc91ac9d74a29ad1c735e8152f5f8928d",
     }),
+    # The two commands that write an LP certificate.
+    "adversary-demo": (["adversary-demo", "--seed", "0"], {
+        "adversary_report.json": "c6cbc657c5f17633105ba3822a0389548e15021f9810be9c4b772d1a8a7c2e0a",
+        "certificate.json": "d727706bbabebf80bf1e696e2efc88be85a293b1fdbe46e792f4d225adb5c084",
+    }),
+    "adversary-demo-dl": (["adversary-demo", "--class", "dl", "--d", "3",
+                           "--m", "3", "--seed", "0"], {
+        "adversary_report.json": "74b9004e898d7ce893ed63b1223dd21453b6bf863d38404f5bc4b2e93a2db721",
+        "certificate.json": "34e1ad461aa0c8bfafc7f73195bff2a62f0961536f72c29895466b313cf7b2d9",
+    }),
     "jl-check": (["jl-check", "--seed", "0"], {
         "jl_report.json": "663dee80231e93dade4cc3aacf9f059ee2ee0b1e3e062b5ffdaa5607a98ed25f",
         "jl_trials.csv": "bf7780215dc9e4908f541989aa381160f77114129d0e3e4ff6dc2940e32a1fc4",

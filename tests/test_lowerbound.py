@@ -5,13 +5,16 @@ The LP is checked against a brute-force grid over the probability simplex
 plus one analytic off-grid instance known in closed form.
 """
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localsq import lowerbound
 from localsq.core import (
     DecisionList,
     Explicit,
@@ -19,8 +22,14 @@ from localsq.core import (
     LabeledSource,
     Point,
     embed_hypercube,
+    random_decision_list,
 )
-from localsq.errors import PreconditionError, ProtocolError, SolverError
+from localsq.errors import (
+    EvaluationError,
+    PreconditionError,
+    ProtocolError,
+    SolverError,
+)
 from localsq.lowerbound import (
     AdversarialCertificate,
     HypothesisSet,
@@ -66,6 +75,22 @@ def three_points():
                  for v in ((0.6, 0.0), (0.0, 0.6), (-0.6, 0.0)))
 
 
+def correlation_instance(bits, n_rows, seed):
+    """The benchmark's LP shape: the whole `bits`-bit cube, `n_rows` random
+    +-1 table hypotheses and a random length-3 decision-list target."""
+    points = tuple(embed_hypercube([(code >> b) & 1 for b in range(bits)])
+                   for code in range(1 << bits))
+    rng = np.random.default_rng(seed)
+    rows = 2.0 * rng.integers(0, 2, (n_rows, len(points))) - 1.0
+    hset = HypothesisSet(tuple(table_function(points, r) for r in rows))
+    return random_decision_list(bits, 3, seed), hset, points
+
+
+PINNED_ITERATIONS = [92, 68, 109, 145, 89, 96, 95, 75, 73, 70, 80, 102, 5037]
+PINNED_DIGEST = (
+    "38d5a0dd3c9dfded32dd2d0a6a06d77267e1cd03c6f39e9014d04394e303485e")
+
+
 class TestSolveLp:
     def test_single_bound(self):
         sol = solve_lp(c=[-1.0], a_ub=[[1.0]], b_ub=[5.0])
@@ -99,6 +124,42 @@ class TestSolveLp:
             solve_lp(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
                      max_iterations=0)
         assert isinstance(info.value.dump, dict)
+
+    def test_pivot_sequence_pinned(self, monkeypatch):
+        # Recorded on the scalar-loop simplex. Bland's rule fixes the pivot
+        # sequence, so any rewrite of the tableau arithmetic must reproduce
+        # every iteration count and every byte of x, the duals and D (on
+        # IEEE doubles and the BLAS build these were recorded with).
+        solved = []
+
+        def recording(*args, **kwargs):
+            sol = solve_lp(*args, **kwargs)
+            solved.append(sol)
+            return sol
+
+        monkeypatch.setattr(lowerbound, "solve_lp", recording)
+        digest = hashlib.sha256()
+        for bits, n_rows, seed in [(6, 16, s) for s in range(12)] + [(8, 64, 0)]:
+            cert = worst_correlation_distribution(
+                *correlation_instance(bits, n_rows, seed))
+            for arr in (solved[-1].x, solved[-1].dual, cert.dist.probs):
+                digest.update(arr.tobytes())
+        assert [s.iterations for s in solved] == PINNED_ITERATIONS
+        assert digest.hexdigest() == PINNED_DIGEST
+
+    @pytest.mark.parametrize("program, keys", [
+        (dict(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]), {"infeasibility", "basis"}),
+        (dict(c=[-1.0], a_ub=[[0.0]], b_ub=[1.0]), {"entering", "basis"}),
+        (dict(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], max_iterations=0),
+         {"iterations", "basis", "objective"}),
+    ], ids=["infeasible", "unbounded", "iteration-cap"])
+    def test_refusal_dumps_are_plain_json(self, program, keys):
+        with pytest.raises(SolverError) as info:
+            solve_lp(**program)
+        dump = info.value.dump
+        assert set(dump) == keys
+        assert all(type(v) is int for v in dump["basis"])
+        assert json.loads(json.dumps(dump)) == dump
 
     def test_no_constraints_rejected(self):
         with pytest.raises(PreconditionError):
@@ -137,6 +198,55 @@ class TestSolveLp:
                         method="highs")
         assert highs.status == 0
         assert sol.value == pytest.approx(highs.fun, abs=1e-7)
+
+
+class TestTableFunction:
+    def points(self):
+        return tuple(Point(np.array(v)) for v in ((0.0, 0.5), (0.5, 0.0)))
+
+    def test_batch_lookup(self):
+        a, b = self.points()
+        fn = table_function((a, b), (1, -0.5))
+        X = np.vstack([b.coords, a.coords, b.coords])
+        assert fn(X).tolist() == [-0.5, 1.0, -0.5]
+
+    def test_last_duplicate_wins(self):
+        a, b = self.points()
+        fn = table_function((a, b, a, a), (1, -1, 0.25, -0.75))
+        assert fn(np.vstack([a.coords, b.coords])).tolist() == [-0.75, -1.0]
+
+    def test_missing_point_raises(self):
+        a, b = self.points()
+        fn = table_function((a,), (1,))
+        with pytest.raises(EvaluationError):
+            fn(np.vstack([a.coords, b.coords]))
+        with pytest.raises(EvaluationError):
+            fn(np.array([[0.0, 0.5, 0.0]]))
+
+    def test_negative_zero_is_a_different_point(self):
+        # Points match by their bytes, and -0.0 has other bytes than 0.0.
+        a, _ = self.points()
+        fn = table_function((a,), (1,))
+        with pytest.raises(EvaluationError):
+            fn(np.array([[-0.0, 0.5]]))
+
+    def test_empty_batch(self):
+        a, _ = self.points()
+        out = table_function((a,), (1,))(np.zeros((0, 2)))
+        assert out.shape == (0,)
+
+    def test_construction_refusals(self):
+        a, b = self.points()
+        with pytest.raises(PreconditionError):
+            table_function((a, b), (1, 1.5))
+        with pytest.raises(PreconditionError):
+            table_function((a, b), (1,))
+        with pytest.raises(PreconditionError):
+            table_function((), ())
+        with pytest.raises(PreconditionError):
+            table_function((a, Point(np.array([0.1, 0.2, 0.3]))), (1, 1))
+        with pytest.raises(PreconditionError):
+            table_function((Point(np.array([])),), (1,))
 
 
 class TestWorstCorrelationDistribution:
