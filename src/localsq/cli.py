@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations, product
 from pathlib import Path
 
@@ -35,16 +35,56 @@ from .ldp import compile_sq_to_ldp, ldp_batch_size
 from .lowerbound import HypothesisSet, correlation_cover_check, \
     run_shipped_negation_demo, solve_lp, table_function
 from .margin_learner import jl_dim, jl_map, learn_halfspace
-from .schemas import validate, validate_artifact, validate_config
+from .schemas import SCHEMAS, validate, validate_artifact, \
+    validate_config
 from .sq import ExactOracle, StatQuery
 
 __all__ = ["ExperimentConfig", "CheckFailure", "run", "main",
            "separation_experiment"]
 
-COMMANDS = (
-    "learn-halfspace", "learn-dl", "estimate-mean", "adversary-demo",
-    "jl-check", "compile-report", "separation",
-)
+# The command table: each command's help line and its flags in --help
+# order, each with the default it takes when neither the flag nor the
+# config file sets it (None: unset). The config schema types and bounds
+# every key. --config, --out, --seed and --check follow on every command.
+_TABLE = {
+    "learn-halfspace": (
+        "margin halfspace via averaged subgradient descent",
+        {"gamma": 0.3, "alpha": 0.15, "delta": 0.05,
+         "mode": "distribution_free", "oracle": "exact", "epsilon": 1.0,
+         "d": 20, "support": 100}),
+    "learn-dl": (
+        "interactive decision-list learner",
+        {"d": 8, "alpha": 0.1, "oracle": "exact", "epsilon": 1.0,
+         "length": 5, "tau": None, "delta": 0.05}),
+    "estimate-mean": (
+        "Monte-Carlo validity sweep of a compiled protocol",
+        {"epsilon": 1.0, "tau": 0.1, "delta": 0.1, "trials": 200,
+         "queries": 10, "channel": "ldp"}),
+    "adversary-demo": (
+        "worst-case distribution certificates and the negation-fooling demo",
+        {"class": "shipped", "d": 2, "m": 2}),
+    "jl-check": (
+        "Monte-Carlo margin preservation under random projection",
+        {"d": 100, "gamma": 0.3, "delta": 0.05, "trials": 100,
+         "support": 200}),
+    "compile-report": (
+        "run one compiled protocol and emit its report",
+        {"epsilon": 1.0, "tau": 0.1, "delta": 0.1, "queries": 10,
+         "channel": "ldp"}),
+    "separation": (
+        "the canonical adaptive-vs-non-adaptive contrast table", {}),
+}
+COMMANDS = tuple(_TABLE)
+
+_COMMON_HELP = {
+    "config": "JSON config file; flags override",
+    "out": "output directory",
+    "seed": None,
+    "check": "exit 3 unless the run meets its acceptance condition",
+}
+
+# ExperimentConfig fields whose config key differs from the field name.
+_KEY = {"dim": "d", "class_spec": "class"}
 
 _ENV_OUT = "LOCALSQ_OUT"
 _DEFAULT_OUT = "localsq-out"
@@ -86,54 +126,14 @@ class ExperimentConfig:
     class_spec: str | None = None
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise PreconditionError(f"unknown command {self.command!r}")
-        for name in ("gamma", "alpha", "delta"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 < v < 1.0:
-                raise PreconditionError(f"{name} must lie in (0, 1)")
-        for name in ("epsilon", "tau"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise PreconditionError(f"{name} must be positive")
-        for name in ("dim", "support", "m", "trials", "length", "queries"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise PreconditionError(f"{name} must be at least 1")
-        if self.oracle is not None and self.oracle not in (
-                "exact", "ldp", "comm"):
-            raise PreconditionError(f"unknown oracle {self.oracle!r}")
-        if self.mode is not None and self.mode not in (
-                "distribution_free", "known_distribution"):
-            raise PreconditionError(f"unknown mode {self.mode!r}")
-        if self.channel is not None and self.channel not in ("ldp", "comm"):
-            raise PreconditionError(f"unknown channel {self.channel!r}")
-
-
-_DEFAULTS = {
-    "learn-halfspace": {"d": 20, "support": 100, "gamma": 0.3, "alpha": 0.15,
-                        "delta": 0.05, "epsilon": 1.0, "oracle": "exact",
-                        "mode": "distribution_free"},
-    "learn-dl": {"d": 8, "length": 5, "alpha": 0.1, "delta": 0.05,
-                 "epsilon": 1.0, "oracle": "exact"},
-    "estimate-mean": {"epsilon": 1.0, "tau": 0.1, "delta": 0.1,
-                      "trials": 200, "queries": 10, "channel": "ldp"},
-    "adversary-demo": {"class": "shipped", "d": 2, "m": 2},
-    "jl-check": {"d": 100, "gamma": 0.3, "delta": 0.05, "trials": 100,
-                 "support": 200},
-    "compile-report": {"epsilon": 1.0, "tau": 0.1, "delta": 0.1,
-                       "queries": 10, "channel": "ldp"},
-    "separation": {},
-}
-
-# JSON/flag key -> dataclass field for the tunable parameters.
-_KEYS = {
-    "d": "dim", "support": "support", "gamma": "gamma", "alpha": "alpha",
-    "delta": "delta", "epsilon": "epsilon", "tau": "tau", "m": "m",
-    "oracle": "oracle", "mode": "mode", "channel": "channel",
-    "trials": "trials", "length": "length", "queries": "queries",
-    "class": "class_spec",
-}
+        # Each set field, paired with the command, must meet the config
+        # schema: one rule for flags, config files and direct callers.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                key = _KEY.get(f.name, f.name)
+                validate("config", {"command": self.command, key: value},
+                         PreconditionError, f"{key}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +475,7 @@ def _separable_patterns(points) -> list:
 
 
 def _load_explicit_class(path: str):
-    obj = json.loads(Path(path).read_text())
+    obj = _read_json(path)
     validate("explicit_class", obj, PreconditionError,
              "invalid explicit class file: ")
     points = tuple(Point(np.asarray(row, dtype=float))
@@ -752,116 +752,57 @@ def _build_parser() -> argparse.ArgumentParser:
                     "communication limits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file; flags override")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--check", action="store_const", const=True,
-                        help="exit 3 unless the run meets its "
-                             "acceptance condition")
-
-    sp = sub.add_parser("learn-halfspace",
-                        help="margin halfspace via averaged subgradient "
-                             "descent")
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--mode",
-                    choices=["distribution_free", "known_distribution"])
-    sp.add_argument("--oracle", choices=["exact", "ldp", "comm"])
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--support", type=int)
-    common(sp)
-
-    sp = sub.add_parser("learn-dl", help="interactive decision-list learner")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--oracle", choices=["exact", "ldp"])
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--length", type=int)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--delta", type=float)
-    common(sp)
-
-    sp = sub.add_parser("estimate-mean",
-                        help="Monte-Carlo validity sweep of a compiled "
-                             "protocol")
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--queries", type=int)
-    sp.add_argument("--channel", choices=["ldp", "comm"])
-    common(sp)
-
-    sp = sub.add_parser("adversary-demo", aliases=["adversary"],
-                        help="worst-case distribution certificates and the "
-                             "negation-fooling demo")
-    sp.add_argument("--class", dest="class_spec",
-                    metavar="{shipped,dl,hs,explicit:FILE}")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--m", type=int)
-    common(sp)
-
-    sp = sub.add_parser("jl-check",
-                        help="Monte-Carlo margin preservation under random "
-                             "projection")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--support", type=int)
-    common(sp)
-
-    sp = sub.add_parser("compile-report",
-                        help="run one compiled protocol and emit its report")
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--queries", type=int)
-    sp.add_argument("--channel", choices=["ldp", "comm"])
-    common(sp)
-
-    sp = sub.add_parser("separation",
-                        help="the canonical adaptive-vs-non-adaptive "
-                             "contrast table")
-    common(sp)
-
+    types = {"integer": int, "number": float, "string": str}
+    props = SCHEMAS["config"]["properties"]
+    for command, (help_line, flags) in _TABLE.items():
+        sp = sub.add_parser(command, help=help_line, aliases=(
+            ["adversary"] if command == "adversary-demo" else []))
+        for key in [*flags, *_COMMON_HELP]:
+            schema = props.get(key, {"type": "string"})
+            if "enum" in schema:
+                kind = {"choices": schema["enum"]}
+            elif schema["type"] == "boolean":
+                kind = {"action": "store_const", "const": True}
+            else:
+                kind = {"type": types[schema["type"]]}
+            sp.add_argument(f"--{key}", help=_COMMON_HELP.get(key), **kind,
+                            metavar=("{shipped,dl,hs,explicit:FILE}"
+                                     if key == "class" else None))
     return parser
 
 
+def _read_json(path: str):
+    """The JSON value in the file at path; unreadable is a usage error."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise PreconditionError(f"cannot read JSON file {path}: {e}") from e
+
+
 def _build_config(args) -> ExperimentConfig:
-    command = args.command
-    if command == "adversary":
-        command = "adversary-demo"
+    command = "adversary-demo" if args.command == "adversary" else \
+        args.command
     file_obj = {}
-    if getattr(args, "config", None):
-        file_obj = json.loads(Path(args.config).read_text())
+    if args.config:
+        file_obj = _read_json(args.config)
         validate_config(file_obj)
-        file_command = file_obj.get("command")
-        if file_command is not None and file_command != command:
+        file_command = file_obj.get("command", command)
+        if file_command != command:
             raise PreconditionError(
                 f"config file names command {file_command!r}, "
                 f"invoked {command!r}")
-    defaults = _DEFAULTS[command]
-    merged = {}
-    for key, field_name in _KEYS.items():
-        dest = "class_spec" if key == "class" else key
-        value = getattr(args, dest, None)
-        if value is None:
-            value = file_obj.get(key)
-        if value is None:
-            value = defaults.get(key)
-        merged[field_name] = value
-    seed = args.seed if args.seed is not None else file_obj.get("seed", 0)
-    check = args.check if args.check is not None else \
-        file_obj.get("check", False)
-    out = (getattr(args, "out", None) or os.environ.get(_ENV_OUT)
-           or file_obj.get("out") or _DEFAULT_OUT)
-    return ExperimentConfig(command=command, seed=seed, out=out,
-                            check=check, **merged)
+    # A flag beats the file, which beats the table; the output directory
+    # consults LOCALSQ_OUT between the flag and the file.
+    values = {"command": command,
+              "out": (args.out or os.environ.get(_ENV_OUT)
+                      or file_obj.get("out") or _DEFAULT_OUT)}
+    sources = (vars(args), file_obj, _TABLE[command][1])
+    for f in fields(ExperimentConfig):
+        key = _KEY.get(f.name, f.name)
+        found = [s[key] for s in sources if s.get(key) is not None]
+        if found and f.name not in values:
+            values[f.name] = found[0]
+    return ExperimentConfig(**values)
 
 
 def run(cfg: ExperimentConfig) -> int:

@@ -236,6 +236,10 @@ class Explicit(TargetFunction):
 
     @classmethod
     def from_support(cls, support: Sequence[Point], labels: Iterable[int]) -> "Explicit":
+        labels = list(labels)
+        if len(labels) != len(support):
+            raise PreconditionError(
+                f"{len(labels)} labels for {len(support)} support points")
         return cls(dict(zip(support, labels)))
 
     def labels_for(self, X: np.ndarray) -> np.ndarray:

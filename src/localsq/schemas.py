@@ -260,7 +260,12 @@ CONFIG = _obj(
         "check": _BOOL,
     },
     required=[],
-)
+) | {
+    # learn-dl has no one-bit compiler.
+    "if": {"properties": {"command": {"const": "learn-dl"}},
+           "required": ["command"]},
+    "then": {"properties": {"oracle": {"enum": ["exact", "ldp"]}}},
+}
 
 SCHEMAS = {
     "config": CONFIG,

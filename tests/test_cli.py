@@ -7,6 +7,8 @@ schema from localsq.schemas here as well, independently of the writer's
 own validation.
 """
 
+import argparse
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -14,7 +16,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from localsq.cli import ExperimentConfig, main, separation_experiment
+from localsq.cli import COMMANDS, ExperimentConfig, _build_config, \
+    _build_parser, main, separation_experiment
 from localsq.errors import ContractViolation, PreconditionError
 from localsq.schemas import SCHEMAS, validate_artifact, validate_config
 
@@ -83,6 +86,144 @@ class TestConfig:
                      "--out", str(out)]) == 0
         assert (out / "adversary_report.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+    def test_config_file_learn_dl_comm_refused_before_work(self, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "learn-dl", "oracle": "comm"}))
+        out = tmp_path / "out"
+        assert main(["learn-dl", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid config: 'comm' is not one of "
+            "['exact', 'ldp']\n")
+        assert not out.exists()
+
+    def test_learn_dl_comm_flag_refused_before_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["learn-dl", "--oracle", "comm", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: oracle: 'comm' is not one of ['exact', 'ldp']\n")
+        assert not out.exists()
+
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["separation", "--seed", "-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed: -3 is less than the minimum of 0\n")
+        assert not out.exists()
+
+    def test_direct_config_refusal_names_the_key(self):
+        with pytest.raises(PreconditionError, match="^tau: "):
+            ExperimentConfig(command="learn-dl", tau=-1.0)
+        with pytest.raises(PreconditionError, match="^out: "):
+            ExperimentConfig(command="separation", out=3)
+
+    @pytest.mark.parametrize("text", [None, "{not json"],
+                             ids=["missing", "bad-json"])
+    def test_unreadable_config_file_is_two(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["separation", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read JSON file {cfg}: ")
+
+
+def option_kinds(subparser):
+    """Each --flag of a subcommand with its type name or choices."""
+    kinds = {}
+    for action in subparser._actions:
+        if "--help" in action.option_strings:
+            continue
+        if action.choices is not None:
+            kinds[action.option_strings[0]] = list(action.choices)
+        elif action.const is True:
+            kinds[action.option_strings[0]] = "flag"
+        else:
+            kinds[action.option_strings[0]] = (action.type or str).__name__
+    return kinds
+
+
+COMMON_FLAGS = {"--config": "str", "--out": "str", "--seed": "int",
+                "--check": "flag"}
+
+# Recorded from the hand-written parser the command table replaced: each
+# command's help line, its own flags in --help order, and the non-None
+# fields the command alone resolves to beyond seed 0, check off and out
+# localsq-out. Back then learn-dl's --oracle offered exact and ldp only.
+PARSER_RECORD = {
+    "learn-halfspace": (
+        "margin halfspace via averaged subgradient descent",
+        {"--gamma": "float", "--alpha": "float", "--delta": "float",
+         "--mode": ["distribution_free", "known_distribution"],
+         "--oracle": ["exact", "ldp", "comm"], "--epsilon": "float",
+         "--d": "int", "--support": "int"},
+        {"dim": 20, "support": 100, "gamma": 0.3, "alpha": 0.15,
+         "delta": 0.05, "epsilon": 1.0, "oracle": "exact",
+         "mode": "distribution_free"}),
+    "learn-dl": (
+        "interactive decision-list learner",
+        {"--d": "int", "--alpha": "float", "--oracle": ["exact", "ldp"],
+         "--epsilon": "float", "--length": "int", "--tau": "float",
+         "--delta": "float"},
+        {"dim": 8, "alpha": 0.1, "delta": 0.05, "epsilon": 1.0,
+         "oracle": "exact", "length": 5}),
+    "estimate-mean": (
+        "Monte-Carlo validity sweep of a compiled protocol",
+        {"--epsilon": "float", "--tau": "float", "--delta": "float",
+         "--trials": "int", "--queries": "int",
+         "--channel": ["ldp", "comm"]},
+        {"delta": 0.1, "epsilon": 1.0, "tau": 0.1, "channel": "ldp",
+         "trials": 200, "queries": 10}),
+    "adversary-demo": (
+        "worst-case distribution certificates and the negation-fooling demo",
+        {"--class": "str", "--d": "int", "--m": "int"},
+        {"dim": 2, "m": 2, "class_spec": "shipped"}),
+    "jl-check": (
+        "Monte-Carlo margin preservation under random projection",
+        {"--d": "int", "--gamma": "float", "--delta": "float",
+         "--trials": "int", "--support": "int"},
+        {"dim": 100, "support": 200, "gamma": 0.3, "delta": 0.05,
+         "trials": 100}),
+    "compile-report": (
+        "run one compiled protocol and emit its report",
+        {"--epsilon": "float", "--tau": "float", "--delta": "float",
+         "--queries": "int", "--channel": ["ldp", "comm"]},
+        {"delta": 0.1, "epsilon": 1.0, "tau": 0.1, "channel": "ldp",
+         "queries": 10}),
+    "separation": (
+        "the canonical adaptive-vs-non-adaptive contrast table", {}, {}),
+}
+
+
+class TestCommandTable:
+    def test_commands_keep_their_order_and_match_the_schema(self):
+        assert COMMANDS == tuple(PARSER_RECORD)
+        assert list(COMMANDS) == SCHEMAS["config"]["properties"][
+            "command"]["enum"]
+
+    @pytest.mark.parametrize("command", list(PARSER_RECORD))
+    def test_parser_reproduces_the_record(self, command, monkeypatch):
+        monkeypatch.delenv("LOCALSQ_OUT", raising=False)
+        help_line, flags, fields = PARSER_RECORD[command]
+        parser = _build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        helps = {a.dest: a.help for a in sub._choices_actions}
+        assert helps[command] == help_line
+        expected = {**flags, **COMMON_FLAGS}
+        if command == "learn-dl":
+            # The one intended difference: comm parses, then is refused.
+            expected["--oracle"] = ["exact", "ldp", "comm"]
+        kinds = option_kinds(sub.choices[command])
+        assert list(kinds.items()) == list(expected.items())
+        cfg = _build_config(parser.parse_args([command]))
+        resolved = ExperimentConfig(command=command, seed=0,
+                                    out="localsq-out", check=False,
+                                    **fields)
+        assert dataclasses.asdict(cfg) == dataclasses.asdict(resolved)
 
 
 class TestLearnHalfspace:
@@ -245,6 +386,31 @@ class TestAdversary:
         spec.write_text(json.dumps({"support": [[0.5]], "targets": [[2]]}))
         assert main(["adversary-demo", "--class", f"explicit:{spec}",
                      "--out", str(tmp_path / "adv")]) == 2
+
+    @pytest.mark.parametrize("text", [None, "{not json"],
+                             ids=["missing", "bad-json"])
+    def test_unreadable_explicit_class_file_is_two(self, tmp_path, capsys,
+                                                   text):
+        spec = tmp_path / "class.json"
+        if text is not None:
+            spec.write_text(text)
+        assert main(["adversary-demo", "--class", f"explicit:{spec}",
+                     "--out", str(tmp_path / "adv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read JSON file {spec}: ")
+
+    @pytest.mark.parametrize("row", [[1, -1, 1, 1, -1], [1, -1, 1]],
+                             ids=["long", "short"])
+    def test_explicit_label_row_of_wrong_length_is_two(self, tmp_path,
+                                                       capsys, row):
+        spec = tmp_path / "class.json"
+        spec.write_text(json.dumps({
+            "support": [[0.5, 0.5], [0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5]],
+            "targets": [[1, -1, -1, 1], row]}))
+        assert main(["adversary-demo", "--class", f"explicit:{spec}",
+                     "--out", str(tmp_path / "adv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {len(row)} labels for 4 support points\n")
 
     def test_unknown_class_rejected(self, tmp_path):
         assert main(["adversary-demo", "--class", "sorcery",

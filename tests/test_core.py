@@ -122,6 +122,14 @@ class TestClassificationError:
         with pytest.raises(EvaluationError):
             classification_error(h, src)
 
+    @pytest.mark.parametrize("labels", [(1, -1, 1), (1,)],
+                             ids=["long", "short"])
+    def test_label_list_must_match_support(self, labels):
+        support = two_point_source().dist.support
+        with pytest.raises(PreconditionError,
+                           match=f"^{len(labels)} labels for 2 support"):
+            Explicit.from_support(support, labels)
+
     def test_matches_brute_oracle_on_random_sources(self):
         for seed in range(5):
             src = make_margin_source(4, 0.2, 9, seed)
