@@ -328,12 +328,13 @@ class Dataset:
 class SampleStream:
     """Lazy view of n i.i.d. draws from a labeled source.
 
-    Batch [start, stop) is a pure function of (source, seed, start), so a
-    protocol consuming disjoint contiguous batches is deterministic
-    regardless of evaluation order, and nothing is materialized up front.
-    A batch is realized as multinomial counts over the finite support; the
-    within-batch example order carries no information for the mean
-    estimators that consume these batches.
+    Nothing is materialized. The mean estimators never draw a span's
+    examples: each of its clients sends +1 with probability
+    q = sum_i probs[i] p_plus(v_i), so a span [start, stop) is one
+    Binomial(stop - start, q) count seeded by the channel (see
+    `Channel.estimate_mean`). `counts` and `batch` realize a span as
+    multinomial support counts, a pure function of (source, seed, start);
+    the stream's seed drives only these two.
     """
 
     def __init__(self, source: LabeledSource, n: int, seed: int):
@@ -348,7 +349,7 @@ class SampleStream:
 
     def counts(self, start: int, stop: int) -> np.ndarray:
         """Multinomial support counts for the batch [start, stop)."""
-        self._check_range(start, stop)
+        self.check_span(start, stop)
         rng = generator(derive_seed(self.seed, "stream-batch", start))
         return rng.multinomial(stop - start, self.source.dist.probs)
 
@@ -358,25 +359,9 @@ class SampleStream:
         y = np.repeat(self.source.labels, counts)
         return X, y
 
-    def _check_range(self, start: int, stop: int):
+    def check_span(self, start: int, stop: int):
         if not 0 <= start < stop <= self.n:
             raise PreconditionError("batch range outside the declared stream size")
-
-
-def counts_view(S, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch [start, stop) of S as (rows, labels, multiplicities).
-
-    For a SampleStream the rows are the support points with multinomial
-    counts; for a Dataset every selected row appears with multiplicity 1.
-    Downstream per-sample randomization treats a row with count k as k
-    independent clients holding identical examples, which is exactly the
-    distribution of materializing the draws individually.
-    """
-    if isinstance(S, SampleStream):
-        counts = S.counts(start, stop)
-        return S.source.dist.matrix, S.source.labels, counts
-    X, y = S.batch(start, stop)
-    return X, y, np.ones(X.shape[0], dtype=np.int64)
 
 
 def classification_error(h, src: LabeledSource) -> float:

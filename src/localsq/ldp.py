@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._rng import derive_seed, generator
-from .core import SampleStream, counts_view
+from .core import SampleStream
 from .errors import BudgetExceeded, PreconditionError, SizingError
 from .sq import InteractivityTranscript, StatQuery, TranscriptEntry, \
     checked_values, evaluate_block
@@ -99,17 +99,22 @@ class Channel:
 
         phi is a query fn, or its values already evaluated on the batch rows
         (the support rows for a SampleStream). Returns clamp(sum(o_i) / (c n),
-        -1, 1); the pre-clamp estimate is unbiased. Rows with multiplicity k
-        contribute a Binomial(k, p_plus) count of +1 messages, identical in
-        distribution to k independent clients.
+        -1, 1); the pre-clamp estimate is unbiased. A SampleStream span holds
+        n i.i.d. clients, each of which sends +1 with probability
+        q = sum_i probs[i] p_plus(v_i), so its count of +1 messages is one
+        Binomial(n, q) draw; a Dataset's rows are distinct clients, one
+        Bernoulli(p_plus) draw each.
         """
-        X, y, counts = _resolve_batch(S, indices)
-        n = int(counts.sum())
-        if n < 1:
-            raise PreconditionError("empty batch")
+        X, y, n = _resolve_batch(S, indices)
         values = checked_values(phi(X, y) if callable(phi) else phi, y.shape)
-        plus = generator(seed).binomial(counts, self.p_plus(values))
-        total = 2.0 * float(plus.sum()) - n
+        p = self.p_plus(values)
+        if isinstance(S, SampleStream):
+            # probs may sum to 1 +- PROB_TOL, so q can leave [0, 1] by ulps.
+            q = min(max(float(S.source.dist.probs @ p), 0.0), 1.0)
+            plus = generator(seed).binomial(n, q)
+        else:
+            plus = generator(seed).binomial(1, p).sum()
+        total = 2.0 * float(plus) - n
         return float(min(max(total / (self.c * n), -1.0), 1.0))
 
     def randomizer(self, phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -238,31 +243,39 @@ class PrivacyLedger:
             levels[k] += amount
 
 
-def _resolve_batch(S, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, labels, multiplicities for a batch.
+def _resolve_batch(S, indices) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows, labels and client count for a batch.
 
     A range is the span [start, stop); any other sequence lists indices
-    into a materialized dataset.
+    into a materialized dataset. A SampleStream is read by spans only, and
+    its rows are the support points.
     """
     if isinstance(indices, range):
         if indices.step != 1:
             raise PreconditionError("a batch span must have step 1")
-        return counts_view(S, indices.start, indices.stop)
-    if isinstance(S, SampleStream):
+        if isinstance(S, SampleStream):
+            S.check_span(indices.start, indices.stop)
+            return S.source.dist.matrix, S.source.labels, len(indices)
+        X, y = S.batch(indices.start, indices.stop)
+    elif isinstance(S, SampleStream):
         raise PreconditionError("a sample stream is read by spans only")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
+    else:
+        idx = np.asarray(indices, dtype=np.int64)
+        X, y = S.X[idx], S.y[idx]
+    if len(y) == 0:
         raise PreconditionError("empty batch")
-    return S.X[idx], S.y[idx], np.ones(idx.size, dtype=np.int64)
+    return X, y, len(y)
 
 
 def _coordinate_batches(S, q: StatQuery, start: int, batch: int) -> list:
     """(span, values) for each coordinate of q on its own fresh batch.
 
     Coordinate j gets the span [start + j*batch, start + (j+1)*batch) and
-    q's column j on that span's rows. A SampleStream realizes every batch
-    on the same support rows, so the block is evaluated there once; any
-    other sample set is evaluated on each coordinate's own rows.
+    q's column j on that span's rows. Every span of a SampleStream holds
+    i.i.d. clients on the same support, so the block is evaluated on the
+    support rows once, and `Channel.estimate_mean` turns column j into one
+    Binomial(batch, q_j) count; any other sample set is evaluated on each
+    coordinate's own rows.
     """
     spans = [range(start + j * batch, start + (j + 1) * batch)
              for j in range(q.width)]

@@ -543,8 +543,10 @@ class TestDeterminism:
 
 
 # sha256 of every artifact, recorded before the halfspace rounds became
-# block queries; the change kept every byte. The figures hold for IEEE
-# doubles and the numpy/BLAS builds this was recorded with.
+# block queries; the change kept every byte. The four private runs on a
+# sample stream were re-recorded when a stream span's +1 count became one
+# Binomial(n, q) draw. The figures hold for IEEE doubles and the
+# numpy/BLAS builds this was recorded with.
 GOLDEN_DIGESTS = {
     "learn-halfspace-exact": (["learn-halfspace", "--seed", "0"], {
         "halfspace_report.json": "9ad7d62454b2b8ab30dd04c98513f5f17294c13feb81c45835669c88b87dd67a",
@@ -554,21 +556,21 @@ GOLDEN_DIGESTS = {
     }),
     "learn-halfspace-ldp": (["learn-halfspace", "--oracle", "ldp", "--d",
                              "10", "--seed", "0"], {
-        "halfspace_report.json": "2f16b51e37862ba83ec8c6e87b6d0432a602a34621f9afdc79cb70616d4ed249",
-        "hypothesis.json": "3dd7e0b580d198d3bac14ebbe8f7e58c9d382407f260464f1428e19df199b53e",
+        "halfspace_report.json": "30f4782b40d94fd704a396e3a051b6b2c945fdeeda3d553488fa65de7b17c409",
+        "hypothesis.json": "4941fd9dad50adfe565cc4b62a24fac1474fce688608d75bc2bfd187d4c58d3b",
         "results.csv": "d316c9c7cbfc15c8267297d7b8624a1c335500accf4bd8960ce2ce362a47219f",
-        "transcript.jsonl": "ccbe09b2e5255dfbb230288e08eebf9ca8a940437b59ffe79ed15420ed6d259a",
+        "transcript.jsonl": "480062cb115505688739da1d84485d6df3840c0a6976b10173c60ee553c2f0ec",
     }),
     "learn-halfspace-comm": (["learn-halfspace", "--oracle", "comm", "--d",
                               "10", "--seed", "0"], {
-        "halfspace_report.json": "6325acc6795248c3f32d4a3d56a060e8a24ea2fb2a7199a3118ee2b43b7e3e1c",
-        "hypothesis.json": "e1b25ff3905c2f1151e333274efa49a7b84db7c70581a6e765c51273d9d105c3",
+        "halfspace_report.json": "334b960113bce533eaccd0706b56119357c10e54b490f63584f7ea3800e79bc7",
+        "hypothesis.json": "f2f69e598dfae268d49ad98a911e6d5b52377d5db04b03a24a777717d892a6cf",
         "results.csv": "afcf16db8d3275438a5dc6128853639aa29bbc5ca5d460307f7c364dcbed572c",
-        "transcript.jsonl": "95ec574c7755f2d1e3e102805d63bf0918d44c83851be91a7a877831a08a2d08",
+        "transcript.jsonl": "eb44192e035730466fe7385fa699e3e8fb077f7e3ed2c0ec5b7db9ae2ec5a8cf",
     }),
     "compile-report-comm": (["compile-report", "--channel", "comm", "--seed",
                              "0"], {
-        "protocol_report.json": "d7ec2fc0412ec6c087d0d3f39b683238d30cc0a54f21d6d62c8773233e965658",
+        "protocol_report.json": "99cda9da5091cedf5272619b2d6cee57ef76796e413baad6a0a37589876b1582",
     }),
     "learn-dl": (["learn-dl", "--seed", "1"], {
         "dl_hypothesis.json": "8c581c5dbdcbcff5de5a9c538ba4cc27e1680c0de872cbf64a71699bede95171",
@@ -578,9 +580,9 @@ GOLDEN_DIGESTS = {
     }),
     "learn-dl-ldp": (["learn-dl", "--oracle", "ldp", "--seed", "1"], {
         "dl_hypothesis.json": "02d350cb2bdb1fc25f703d24bfa04f6538d6de99f7ebdeadc050d779c3b41c82",
-        "dl_report.json": "04742a07275243a0a9edf7953551edcecc48e61f60e7055663ccaef50adbb9de",
+        "dl_report.json": "a0788c67d2762c5a6193d0f5c4a91191d2f58c1730a01b601d7af9efc4f545c8",
         "results.csv": "e62732b0a125560ed81399d570adc021ac998ed0dd7fb57ed3625381ba75f945",
-        "transcript.jsonl": "417aeda9c127448e872b4859c1a4e6383d196294d377e160a4d56d324b0afc64",
+        "transcript.jsonl": "0dbc67545586bac2988293c1ca000fe15b00bbd4757d4a11eee97da47db76997",
     }),
     "separation": (["separation", "--seed", "0"], {
         "separation.csv": "dced02a00fb9b20f206017677d94c1da80785af085437b31c298eebe17d1a9c4",

@@ -22,7 +22,6 @@ from localsq.core import (
     LabeledSource,
     Point,
     SampleStream,
-    counts_view,
     make_margin_source,
     sample,
 )
@@ -515,19 +514,73 @@ class TestChannel:
                                                         "one-bit"])
     @pytest.mark.parametrize("value", [-1.0, -0.3, 0.0, 0.7, 1.0])
     def test_estimate_draws_from_the_randomizer(self, channel, value):
-        # The estimator's binomial counts use the very probability the
+        # A stream span's count of +1 messages is one Binomial(n, q) draw,
+        # where q averages over the support the very probability the
         # privacy check enumerates: R.prob(x, y, +1) for R on the channel.
+        # phi differs between rows and the weights are not uniform, so only
+        # the probs-weighted average reproduces the draw.
         def phi(X, y):
-            return np.full(len(X), value)
+            return value * y
 
-        stream = SampleStream(make_margin_source(3, 0.3, 8, seed=2), 5_000,
-                              seed=19)
-        X, y, counts = counts_view(stream, 1_000, 5_000)
-        p = channel.randomizer(phi).prob(X[0], y[0], 1)
+        src = make_margin_source(3, 0.3, 8, seed=2, probs="random")
+        assert len(set(src.labels)) == 2
+        stream = SampleStream(src, 5_000, seed=19)
+        R = channel.randomizer(phi)
+        p = np.array([R.prob(x, y, 1)
+                      for x, y in zip(src.dist.matrix, src.labels)])
+        q = min(max(float(src.dist.probs @ p), 0.0), 1.0)
         for seed in range(4):
-            plus = generator(seed).binomial(counts, np.full(len(counts), p))
-            total = 2.0 * float(plus.sum()) - 4_000
+            plus = generator(seed).binomial(4_000, q)
+            total = 2.0 * float(plus) - 4_000
             reference = float(np.clip(total / (channel.c * 4_000), -1.0, 1.0))
             assert channel.estimate_mean(stream, range(1_000, 5_000), phi,
                                          seed) == reference
 
+    def test_probability_sum_above_one_is_clamped(self):
+        # probs may sum to 1 + PROB_TOL; with every value at +1 the one-bit
+        # channel's q = sum(probs) lands above 1 and must be clamped.
+        pts = [Point(np.array([0.5])), Point(np.array([-0.5]))]
+        dist = FiniteDistribution(pts, [0.5, 0.5 + 9e-13])
+        assert float(dist.probs @ np.ones(2)) > 1.0
+        src = LabeledSource(dist, Explicit.from_support(pts, (1, -1)))
+        stream = SampleStream(src, 100, seed=0)
+        est = ONE_BIT.estimate_mean(stream, range(0, 100),
+                                    lambda X, y: np.ones(len(X)), seed=3)
+        assert est == 1.0
+
+
+def binomial_pmf(n, p):
+    return np.array([math.comb(n, k) * p**k * (1 - p)**(n - k)
+                     for k in range(n + 1)])
+
+
+def two_stage_pmf(n, probs, p_rows):
+    """Law of the +1 count when n clients are first drawn as multinomial
+    support counts k, then row i sends Binomial(k_i, p_rows[i]) +1s."""
+    pmf = np.zeros(n + 1)
+    for k0 in range(n + 1):
+        for k1 in range(n + 1 - k0):
+            k = (k0, k1, n - k0 - k1)
+            weight = math.factorial(n)
+            conv = np.array([1.0])
+            for ki, pi, qi in zip(k, probs, p_rows):
+                weight *= pi**ki / math.factorial(ki)
+                conv = np.convolve(conv, binomial_pmf(ki, qi))
+            pmf += weight * conv
+    return pmf
+
+
+class TestStreamLaw:
+    @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
+                             ids=["ldp", "one-bit"])
+    @pytest.mark.parametrize("values", [(0.7, -0.3, 0.0), (1.0, -1.0, 1.0)],
+                             ids=["interior", "at-one"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_two_stage_law_is_one_binomial(self, channel, values, n):
+        # Multinomial counts then per-row binomials (how a stream's clients
+        # were once simulated) give exactly the law of Binomial(n, q).
+        probs = np.array([0.2, 0.5, 0.3])
+        p_rows = channel.p_plus(np.array(values))
+        q = float(probs @ p_rows)
+        assert np.max(np.abs(two_stage_pmf(n, probs, p_rows)
+                             - binomial_pmf(n, q))) < 1e-12
