@@ -25,13 +25,13 @@ import numpy as np
 from ._rng import derive_seed, generator
 from .baselines import DlDriver, DlLearnerConfig, adaptivity_profile, \
     learn_decision_list_sq
-from .comm import comm_batch_size, compile_sq_to_comm
-from .core import DecisionList, Explicit, Point, SampleStream, \
+from .comm import ONE_BIT
+from .core import DecisionList, Explicit, Point, \
     classification_error, embed_hypercube, make_margin_source, \
     random_decision_list, uniform_hypercube_source
 from .errors import LocalSqError, PreconditionError, ProtocolError, \
     SolverError
-from .ldp import compile_sq_to_ldp, ldp_batch_size
+from .ldp import compile_sq, compile_sq_to_ldp, ldp_channel
 from .lowerbound import HypothesisSet, correlation_cover_check, \
     run_shipped_negation_demo, solve_lp, table_function
 from .margin_learner import jl_dim, jl_map, learn_halfspace
@@ -235,20 +235,15 @@ def _probe_source(seed: int):
     return make_margin_source(_PROBE_DIM, _PROBE_GAMMA, _PROBE_SUPPORT, seed)
 
 
-def _compiled_probe(cfg: ExperimentConfig, src, seed_stream: int,
-                    seed_channel: int):
+def _probe_channel(cfg: ExperimentConfig):
+    return ldp_channel(cfg.epsilon) if cfg.channel == "ldp" else ONE_BIT
+
+
+def _compiled_probe(cfg: ExperimentConfig, src, seed: int):
     """Run the probe through the chosen channel; returns (answers, report)."""
-    qs = _probe_queries(cfg.queries, cfg.tau)
-    driver = FixedQueryDriver(qs)
-    if cfg.channel == "ldp":
-        batch = ldp_batch_size(cfg.queries, cfg.tau, cfg.delta, cfg.epsilon)
-        stream = SampleStream(src, cfg.queries * batch, seed_stream)
-        return compile_sq_to_ldp(driver, stream, cfg.epsilon, cfg.tau,
-                                 cfg.delta, seed=seed_channel)
-    batch = comm_batch_size(cfg.queries, cfg.tau, cfg.delta)
-    stream = SampleStream(src, cfg.queries * batch, seed_stream)
-    return compile_sq_to_comm(driver, stream, cfg.tau, cfg.delta,
-                              seed=seed_channel)
+    driver = FixedQueryDriver(_probe_queries(cfg.queries, cfg.tau))
+    return compile_sq(driver, src, _probe_channel(cfg), cfg.tau, cfg.delta,
+                      seed)
 
 
 def _exact_probe_answers(cfg: ExperimentConfig, src) -> list:
@@ -338,15 +333,9 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
         learned = learn_decision_list_sq(oracle, learner_cfg)
         transcript, proto = oracle.transcript, None
     else:
-        driver = DlDriver(learner_cfg)
-        batch = ldp_batch_size(driver.max_queries, learner_cfg.tau,
-                               cfg.delta, cfg.epsilon)
-        stream = SampleStream(src, driver.max_queries * batch,
-                              derive_seed(cfg.seed, "dl-stream"))
         learned, proto = compile_sq_to_ldp(
-            driver, stream, cfg.epsilon, learner_cfg.tau, cfg.delta,
-            seed=derive_seed(cfg.seed, "dl-ldp"),
-        )
+            DlDriver(learner_cfg), src, cfg.epsilon, learner_cfg.tau,
+            cfg.delta, seed=derive_seed(cfg.seed, "dl-ldp"))
         transcript = proto.transcript
     profile = adaptivity_profile(transcript)
     rounds = profile["rounds"]
@@ -392,19 +381,13 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
 
 def _cmd_estimate_mean(cfg: ExperimentConfig) -> None:
     outdir = Path(cfg.out)
-    if cfg.channel == "ldp":
-        batch = ldp_batch_size(cfg.queries, cfg.tau, cfg.delta, cfg.epsilon)
-    else:
-        batch = comm_batch_size(cfg.queries, cfg.tau, cfg.delta)
+    batch = _probe_channel(cfg).batch_size(cfg.queries, cfg.tau, cfg.delta)
 
     def trial(i: int) -> float:
         src = _probe_source(derive_seed(cfg.seed, "estimate-source", i))
         truth = _exact_probe_answers(cfg, src)
         answers, _ = _compiled_probe(
-            cfg, src,
-            derive_seed(cfg.seed, "estimate-stream", i),
-            derive_seed(cfg.seed, "estimate-channel", i),
-        )
+            cfg, src, derive_seed(cfg.seed, "estimate-channel", i))
         return max(abs(a - t) for a, t in zip(answers, truth))
 
     deviations = [trial(i) for i in range(cfg.trials)]
@@ -620,10 +603,7 @@ def _cmd_compile_report(cfg: ExperimentConfig) -> None:
     src = _probe_source(derive_seed(cfg.seed, "compile-source"))
     truth = _exact_probe_answers(cfg, src)
     answers, proto = _compiled_probe(
-        cfg, src,
-        derive_seed(cfg.seed, "compile-stream"),
-        derive_seed(cfg.seed, "compile-channel"),
-    )
+        cfg, src, derive_seed(cfg.seed, "compile-channel"))
     schema = "ldp_report" if cfg.channel == "ldp" else "comm_report"
     _emit_json(outdir, "protocol_report.json", schema, proto.to_json())
     deviation = max(abs(a - t) for a, t in zip(answers, truth))
@@ -649,12 +629,8 @@ def separation_experiment(seed: int):
     target = random_decision_list(6, 3,
                                   derive_seed(seed, "separation-dl-target"))
     src = uniform_hypercube_source(6, target)
-    driver = DlDriver(dl_cfg)
-    batch = ldp_batch_size(driver.max_queries, dl_cfg.tau, 0.05, 1.0)
-    stream = SampleStream(src, driver.max_queries * batch,
-                          derive_seed(seed, "separation-dl-stream"))
     learned, proto = compile_sq_to_ldp(
-        driver, stream, 1.0, dl_cfg.tau, 0.05,
+        DlDriver(dl_cfg), src, 1.0, dl_cfg.tau, 0.05,
         seed=derive_seed(seed, "separation-dl-ldp"),
     )
     rows.append({

@@ -328,13 +328,13 @@ class Dataset:
 class SampleStream:
     """Lazy view of n i.i.d. draws from a labeled source.
 
-    Nothing is materialized. The mean estimators never draw a span's
-    examples: each of its clients sends +1 with probability
-    q = sum_i probs[i] p_plus(v_i), so a span [start, stop) is one
-    Binomial(stop - start, q) count seeded by the channel (see
-    `Channel.estimate_mean`). `counts` and `batch` realize a span as
-    multinomial support counts, a pure function of (source, seed, start);
-    the stream's seed drives only these two.
+    Nothing is materialized; `compile_sq` builds one from a LabeledSource,
+    sized to its batches. The mean estimators never draw a span's examples:
+    each of its clients sends +1 with probability q = sum_i probs[i]
+    p_plus(v_i), so a span [start, stop) is one Binomial(stop - start, q)
+    count seeded by the channel (see `Channel.estimate_mean`). `counts` and
+    `batch` realize a span as multinomial support counts, a pure function
+    of (source, seed, start); the stream's seed drives only these two.
     """
 
     def __init__(self, source: LabeledSource, n: int, seed: int):

@@ -23,10 +23,10 @@ from typing import Callable
 import numpy as np
 
 from ._rng import derive_seed, generator
-from .core import SampleStream
+from .core import LabeledSource, SampleStream
 from .errors import BudgetExceeded, PreconditionError, SizingError
 from .sq import InteractivityTranscript, StatQuery, TranscriptEntry, \
-    checked_values, evaluate_block
+    checked_values, evaluate_block, run_driver
 
 CHARGE_TOL = 1e-12
 
@@ -329,15 +329,18 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
     Every query coordinate is answered by channel.estimate_mean on its own
     contiguous batch of previously-untouched samples, so each client sends
     exactly one message and spends the channel's budget once. Budgeting
-    reserves driver.max_queries batches up front; with probability at least
-    1 - delta every answer is within tau of the true mean. The report's
-    transcript records each answer under its round, so it preserves the
-    driver's round structure: a driver that asks everything at once
-    compiles to a one-round protocol.
+    reserves t = driver.max_queries batches up front; with probability at
+    least 1 - delta every answer is within tau of the true mean. S holds at
+    least t batches; a LabeledSource is read as a stream of exactly t. The
+    rounds are `run_driver`'s and the transcript records each answer under
+    its round, so a driver that asks everything at once compiles to a
+    one-round protocol. A query past the declared bound is refused unasked.
     """
     t = int(driver.max_queries)
     batch = channel.batch_size(t, tau, delta)
     need = t * batch
+    if isinstance(S, LabeledSource):
+        S = SampleStream(S, need, seed)
     if len(S) < need:
         raise SizingError(
             f"need {need} samples ({t} queries x batch {batch}), have {len(S)}",
@@ -345,32 +348,24 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
         )
     ledger = PrivacyLedger(cap=channel.budget)
     report = ProtocolReport(samples_used=0, channel=channel, ledger=ledger)
-    cursor = 0
-    query_index = 0
-    round_index = 0
-    queries = list(driver.begin())
-    while queries:
-        if query_index + sum(q.width for q in queries) > t:
+
+    def ask(q: StatQuery, round_index: int) -> list[float]:
+        if len(report.transcript) + q.width > t:
             raise BudgetExceeded(
-                f"driver exceeded its declared bound of {t} queries"
+                f"driver exceeded its declared bound of {t} queries")
+        start = report.samples_used
+        for span, values in _coordinate_batches(S, q, start, batch):
+            ledger.charge_span(span.start, span.stop, channel.budget)
+            est = channel.estimate_mean(
+                S, span, values,
+                derive_seed(seed, channel.seed_label, len(report.transcript)),
             )
-        answers = []
-        for q in queries:
-            for span, values in _coordinate_batches(S, q, cursor, batch):
-                ledger.charge_span(span.start, span.stop, channel.budget)
-                est = channel.estimate_mean(
-                    S, span, values,
-                    derive_seed(seed, channel.seed_label, query_index),
-                )
-                answers.append(est)
-                report.transcript.append(
-                    TranscriptEntry(round_index, q.label_dependent, tau, est))
-                cursor += batch
-                query_index += 1
-        nxt = driver.feed(answers)
-        round_index += 1
-        queries = list(nxt) if nxt is not None else []
-    report.samples_used = cursor
+            report.transcript.append(
+                TranscriptEntry(round_index, q.label_dependent, tau, est))
+            report.samples_used = span.stop
+        return [e.answer for e in report.transcript.entries[-q.width:]]
+
+    run_driver(driver, ask)
     return driver.result(), report
 
 

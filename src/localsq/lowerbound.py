@@ -36,7 +36,8 @@ from .errors import (
     ProtocolError,
     SolverError,
 )
-from .sq import AdversarialOracle, AdversarialOracleConfig, StatQuery, decompose
+from .sq import AdversarialOracle, AdversarialOracleConfig, StatQuery, \
+    decompose, run_driver
 
 __all__ = [
     "LpSolution",
@@ -423,14 +424,15 @@ def _verify_negation_closed(targets, matrix) -> None:
             )
 
 
-def _run_once(driver, oracle, queries=None):
-    queries = list(driver.begin()) if queries is None else list(queries)
-    answers = [oracle.ask(q, 0) for q in queries]
-    if driver.feed(answers) is not None:
-        raise PreconditionError(
-            "the demo requires a one-round (non-adaptive) driver"
-        )
-    return tuple(answers), driver.result()
+def _run_once(driver, oracle):
+    def ask(q, round_index):
+        if round_index > 0:
+            raise PreconditionError(
+                "the demo requires a one-round (non-adaptive) driver")
+        return oracle.ask(q, 0)
+
+    run_driver(driver, ask)
+    return tuple(e.answer for e in oracle.transcript.entries), driver.result()
 
 
 def negation_fooling_demo(driver_factory, targets, X, m: int,

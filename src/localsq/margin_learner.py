@@ -20,17 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed, generator
-from .comm import comm_batch_size, compile_sq_to_comm
+from .comm import compile_sq_to_comm
 from .core import (
     Explicit,
     FiniteDistribution,
     LabeledSource,
     Point,
-    SampleStream,
     signp,
 )
 from .errors import PreconditionError, ProtocolError
-from .ldp import compile_sq_to_ldp, ldp_batch_size
+from .ldp import ProtocolReport, compile_sq_to_ldp
 from .sq import (
     AskFn,
     ExactOracle,
@@ -475,7 +474,7 @@ class HalfspaceHypothesis:
 
 @dataclass
 class HalfspaceRunInfo:
-    """End-to-end run description: projection, learner, and protocol reports."""
+    """Projection, learner and protocol reports plus the run's transcript."""
 
     mode: str
     oracle: str
@@ -484,10 +483,16 @@ class HalfspaceRunInfo:
     gamma_effective: float
     projected: bool
     learner: LearnerReport
-    rounds: int
     transcript: InteractivityTranscript
-    samples_used: int = 0
-    protocol_report: object | None = None
+    protocol_report: ProtocolReport | None = None
+
+    @property
+    def rounds(self) -> int:
+        return self.transcript.rounds_used()
+
+    @property
+    def samples_used(self) -> int:
+        return self.protocol_report.samples_used if self.protocol_report else 0
 
 
 def learn_halfspace(
@@ -544,33 +549,20 @@ def learn_halfspace(
     else:
         driver = HalfspaceDriver(params, settings)
 
-    protocol = None
     if oracle == "exact":
         ex = ExactOracle(working)
         run_driver(driver, ex.ask)
-        w_bar, transcript = driver.result(), ex.transcript
+        w_bar, transcript, protocol = driver.result(), ex.transcript, None
     else:
         tau = driver.per_coord_tol / (2.0 * params.dim)
         if oracle == "ldp":
-            batch = ldp_batch_size(driver.max_queries, tau, sim_delta, epsilon)
-            stream = SampleStream(
-                working, driver.max_queries * batch,
-                derive_seed(seed, "halfspace-stream"),
-            )
             w_bar, protocol = compile_sq_to_ldp(
-                driver, stream, epsilon, tau, sim_delta,
-                seed=derive_seed(seed, "halfspace-ldp"),
-            )
+                driver, working, epsilon, tau, sim_delta,
+                seed=derive_seed(seed, "halfspace-ldp"))
         else:
-            batch = comm_batch_size(driver.max_queries, tau, sim_delta)
-            stream = SampleStream(
-                working, driver.max_queries * batch,
-                derive_seed(seed, "halfspace-stream"),
-            )
             w_bar, protocol = compile_sq_to_comm(
-                driver, stream, tau, sim_delta,
-                seed=derive_seed(seed, "halfspace-comm"),
-            )
+                driver, working, tau, sim_delta,
+                seed=derive_seed(seed, "halfspace-comm"))
         transcript = protocol.transcript
     info = HalfspaceRunInfo(
         mode=mode,
@@ -580,9 +572,7 @@ def learn_halfspace(
         gamma_effective=gamma_eff,
         projected=projected,
         learner=driver.report,
-        rounds=transcript.rounds_used(),
         transcript=transcript,
-        samples_used=protocol.samples_used if protocol else 0,
         protocol_report=protocol,
     )
     info.learner.label_non_adaptive = assert_label_non_adaptive(transcript)

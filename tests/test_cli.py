@@ -572,6 +572,14 @@ GOLDEN_DIGESTS = {
                              "0"], {
         "protocol_report.json": "99cda9da5091cedf5272619b2d6cee57ef76796e413baad6a0a37589876b1582",
     }),
+    "compile-report-ldp": (["compile-report", "--channel", "ldp", "--seed",
+                            "0"], {
+        "protocol_report.json": "ccb8c1a3a4584430fe1351a7c1acb3e78f50d920e4c84088ae4b558a72995ace",
+    }),
+    "estimate-mean": (["estimate-mean", "--seed", "0"], {
+        "estimate_report.json": "8a9ef411eb3c8ba5d196a88905487f2e50394e5cca8f9a159852e5aa939548e2",
+        "estimate_trials.csv": "e9aa7429251e7937b17a1cf5014d67c7222bc5658de8d43b4101efa06e9dbd18",
+    }),
     "learn-dl": (["learn-dl", "--seed", "1"], {
         "dl_hypothesis.json": "8c581c5dbdcbcff5de5a9c538ba4cc27e1680c0de872cbf64a71699bede95171",
         "dl_report.json": "baa9f4cc6d7e8cac7b4fde4ac0a9579fa2b0ad41a11f1239809eaf52ea817b65",

@@ -96,6 +96,28 @@ class TwoRoundDriver:
         return self._answers
 
 
+class ScriptedDriver:
+    """Asks the given rounds of queries in order; result is the answers of
+    each round fed so far."""
+
+    def __init__(self, rounds, max_queries):
+        self._rounds = [list(r) for r in rounds]
+        self.max_queries = max_queries
+        self.fed = []
+
+    def begin(self):
+        return self._rounds[0]
+
+    def feed(self, answers):
+        self.fed.append(list(answers))
+        if len(self.fed) < len(self._rounds):
+            return self._rounds[len(self.fed)]
+        return None
+
+    def result(self):
+        return self.fed
+
+
 class TestRrCoefficient:
     def test_ln3_gives_half(self):
         assert rr_coefficient(math.log(3.0)) == pytest.approx(0.5, abs=1e-15)
@@ -483,24 +505,40 @@ class TestCompileToLdp:
             good += abs(answers[0] - exact) <= 0.15
         assert good >= 90
 
-    def test_driver_overrunning_declared_budget_rejected(self):
-        class Liar:
-            max_queries = 1
-
-            def begin(self):
-                q = StatQuery(fn=first_coord, tau=0.2, label_dependent=False)
-                return [q, q]
-
-            def feed(self, answers):
-                return None
-
-            def result(self):
-                return None
-
+    @pytest.mark.parametrize("sizes, bound", [([2], 1), ([1, 2], 2)],
+                             ids=["round-0", "round-1"])
+    def test_driver_overrunning_declared_budget_rejected(self, sizes, bound):
+        # The driver asks sizes[k] queries in round k, declaring `bound`;
+        # only the last round passes it, and the rounds before are answered.
+        q = StatQuery(fn=first_coord, tau=0.2, label_dependent=False)
+        liar = ScriptedDriver([[q] * k for k in sizes], max_queries=bound)
         src = two_point_source()
         stream = SampleStream(src, 10_000, seed=1)
         with pytest.raises(BudgetExceeded):
-            compile_sq_to_ldp(Liar(), stream, epsilon=1.0, tau=0.2, delta=0.2)
+            compile_sq_to_ldp(liar, stream, epsilon=1.0, tau=0.2, delta=0.2)
+        assert [len(a) for a in liar.fed] == sizes[:-1]
+
+    @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
+                             ids=["ldp", "one-bit"])
+    def test_source_compiles_like_hand_sized_streams(self, channel):
+        # A LabeledSource is read as a stream of exactly t batches. A
+        # stream's seed enters no compiled answer, so streams of that size
+        # with any seed give the same run.
+        src = make_margin_source(3, 0.3, 10, seed=5, probs="random")
+        block = StatQuery(fn=lambda X, y: y[:, None] * X, tau=0.3,
+                          label_dependent=True, width=3)
+        scalar = StatQuery(fn=lambda X, y: X[:, 1], tau=0.3,
+                           label_dependent=False)
+        n = 4 * channel.batch_size(4, 0.3, 0.2)
+        runs = []
+        for S in (src, SampleStream(src, n, seed=1),
+                  SampleStream(src, n, seed=2)):
+            driver = ScriptedDriver([[block], [scalar]], max_queries=4)
+            answers, report = compile_sq(driver, S, channel, 0.3, 0.2, seed=7)
+            runs.append((answers, report.to_json(),
+                         report.ledger.per_index_spent))
+        assert runs[0][1]["rounds"] == 2 and runs[0][1]["n"] == n
+        assert runs[0] == runs[1] == runs[2]
 
     def test_report_json_shape(self):
         report = ProtocolReport(samples_used=10, channel=ldp_channel(0.5))
