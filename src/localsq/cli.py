@@ -215,20 +215,12 @@ class FixedQueryDriver:
 
 
 def _probe_queries(t: int, tau: float) -> list:
-    qs = []
-    for j in range(t):
-        c = j % _PROBE_DIM
-        if j % 2:
-            def fn(X, y, c=c):
-                return y * X[:, c]
-            dep = True
-        else:
-            def fn(X, y, c=c):
-                return X[:, c]
-            dep = False
-        qs.append(StatQuery(fn=fn, tau=tau, label_dependent=dep,
-                            name=f"probe-{j}"))
-    return qs
+    def probe(c: int, dep: bool):
+        return (lambda X, y: y * X[:, c]) if dep else (lambda X, y: X[:, c])
+
+    return [StatQuery(fn=probe(j % _PROBE_DIM, j % 2 == 1), tau=tau,
+                      label_dependent=j % 2 == 1, name=f"probe-{j}")
+            for j in range(t)]
 
 
 def _probe_source(seed: int):

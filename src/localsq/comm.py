@@ -15,11 +15,6 @@ ONE_BIT = Channel(c=1.0, budget_key="bits", budget=1, hoeffding=2.0,
                   seed_label="comm-query")
 
 
-def comm_batch_size(t: int, tau: float, delta: float) -> int:
-    """Per-query batch so all t answers are within tau w.p. >= 1 - delta."""
-    return ONE_BIT.batch_size(t, tau, delta)
-
-
 def comm_estimate_mean(S, indices, phi, seed: int) -> float:
     """Estimate E[phi] from one extracted bit per batch sample."""
     return ONE_BIT.estimate_mean(S, indices, phi, seed)

@@ -332,9 +332,9 @@ class SampleStream:
     sized to its batches. The mean estimators never draw a span's examples:
     each of its clients sends +1 with probability q = sum_i probs[i]
     p_plus(v_i), so a span [start, stop) is one Binomial(stop - start, q)
-    count seeded by the channel (see `Channel.estimate_mean`). `counts` and
-    `batch` realize a span as multinomial support counts, a pure function
-    of (source, seed, start); the stream's seed drives only these two.
+    count seeded by the channel (see `Channel.stream_estimates`). `counts`
+    and `batch` realize a span as multinomial support counts, a pure
+    function of (source, seed, start); the stream's seed drives only these.
     """
 
     def __init__(self, source: LabeledSource, n: int, seed: int):
@@ -369,9 +369,7 @@ def classification_error(h, src: LabeledSource) -> float:
 
     h may be a TargetFunction or any callable taking a Point to a label.
     """
-    if isinstance(h, TargetFunction):
-        predicted = np.asarray(h.labels_for(src.dist.matrix), dtype=float)
-    elif hasattr(h, "labels_for"):
+    if hasattr(h, "labels_for"):
         predicted = np.asarray(h.labels_for(src.dist.matrix), dtype=float)
     elif callable(h):
         predicted = np.array([float(h(p)) for p in src.dist.support])

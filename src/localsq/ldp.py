@@ -99,23 +99,42 @@ class Channel:
 
         phi is a query fn, or its values already evaluated on the batch rows
         (the support rows for a SampleStream). Returns clamp(sum(o_i) / (c n),
-        -1, 1); the pre-clamp estimate is unbiased. A SampleStream span holds
-        n i.i.d. clients, each of which sends +1 with probability
-        q = sum_i probs[i] p_plus(v_i), so its count of +1 messages is one
-        Binomial(n, q) draw; a Dataset's rows are distinct clients, one
-        Bernoulli(p_plus) draw each.
+        -1, 1); the pre-clamp estimate is unbiased. A SampleStream span is
+        the width-1 case of `stream_estimates`; a Dataset's rows are distinct
+        clients, one Bernoulli(p_plus) draw each (`rows_estimate`).
         """
         X, y, n = _resolve_batch(S, indices)
         values = checked_values(phi(X, y) if callable(phi) else phi, y.shape)
-        p = self.p_plus(values)
         if isinstance(S, SampleStream):
-            # probs may sum to 1 +- PROB_TOL, so q can leave [0, 1] by ulps.
-            q = min(max(float(S.source.dist.probs @ p), 0.0), 1.0)
-            plus = generator(seed).binomial(n, q)
-        else:
-            plus = generator(seed).binomial(1, p).sum()
-        total = 2.0 * float(plus) - n
-        return float(min(max(total / (self.c * n), -1.0), 1.0))
+            return float(self.stream_estimates(
+                S.source.dist.probs, values[:, None], n, seed)[0])
+        return self.rows_estimate(values, seed)
+
+    def stream_estimates(self, probs, block, n: int, seed: int) -> np.ndarray:
+        """Estimates of a block's columns, each from its own n stream clients.
+
+        block holds the values on the support rows. Each client of column j
+        sends +1 with probability q_j = sum_i probs[i] p_plus(block[i, j]),
+        so the column's +1 count is Binomial(n, q_j); the spans are disjoint,
+        so one vector draw from one seed gives independent counts with these
+        laws. Its element 0 is the scalar draw from that seed.
+        """
+        # probs may sum to 1 +- PROB_TOL, so q can leave [0, 1] by ulps.
+        q = (probs @ self.p_plus(block)).clip(0.0, 1.0)
+        rng = generator(seed)
+        # numpy's binomial costs about 12 us more per call with an array p;
+        # with a scalar p it makes the same first draw.
+        plus = (rng.binomial(n, q[0], size=1) if len(q) == 1
+                else rng.binomial(n, q))
+        return self._debiased(plus, n)
+
+    def rows_estimate(self, values: np.ndarray, seed: int) -> float:
+        """Estimate from checked values on distinct clients, one draw each."""
+        plus = generator(seed).binomial(1, self.p_plus(values)).sum()
+        return float(self._debiased(plus, len(values)))
+
+    def _debiased(self, plus, n: int):
+        return ((2.0 * plus - n) / (self.c * n)).clip(-1.0, 1.0)
 
     def randomizer(self, phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
                    ) -> LocalRandomizer:
@@ -267,25 +286,6 @@ def _resolve_batch(S, indices) -> tuple[np.ndarray, np.ndarray, int]:
     return X, y, len(y)
 
 
-def _coordinate_batches(S, q: StatQuery, start: int, batch: int) -> list:
-    """(span, values) for each coordinate of q on its own fresh batch.
-
-    Coordinate j gets the span [start + j*batch, start + (j+1)*batch) and
-    q's column j on that span's rows. Every span of a SampleStream holds
-    i.i.d. clients on the same support, so the block is evaluated on the
-    support rows once, and `Channel.estimate_mean` turns column j into one
-    Binomial(batch, q_j) count; any other sample set is evaluated on each
-    coordinate's own rows.
-    """
-    spans = [range(start + j * batch, start + (j + 1) * batch)
-             for j in range(q.width)]
-    if isinstance(S, SampleStream):
-        block = evaluate_block(q, S.source.dist.matrix, S.source.labels)
-        return [(span, block[:, j]) for j, span in enumerate(spans)]
-    return [(span, evaluate_block(q, *_resolve_batch(S, span)[:2])[:, j])
-            for j, span in enumerate(spans)]
-
-
 @dataclass
 class ProtocolReport:
     """Round structure, sample usage, and the transcript of a compiled run.
@@ -326,15 +326,19 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
                seed: int = 0) -> tuple[object, ProtocolReport]:
     """Run an SQ driver against fresh-batch estimates on a channel.
 
-    Every query coordinate is answered by channel.estimate_mean on its own
-    contiguous batch of previously-untouched samples, so each client sends
-    exactly one message and spends the channel's budget once. Budgeting
-    reserves t = driver.max_queries batches up front; with probability at
-    least 1 - delta every answer is within tau of the true mean. S holds at
-    least t batches; a LabeledSource is read as a stream of exactly t. The
-    rounds are `run_driver`'s and the transcript records each answer under
-    its round, so a driver that asks everything at once compiles to a
-    one-round protocol. A query past the declared bound is refused unasked.
+    Every query coordinate is answered on its own contiguous batch of
+    previously-untouched samples, so each client sends exactly one message
+    and spends the channel's budget once. A block of width w is range
+    checked, then charged as one span of w batches; a SampleStream answers
+    it with one `stream_estimates` draw seeded by its first coordinate's
+    index, a Dataset with one `rows_estimate` per coordinate, each seeded
+    by its own index. Budgeting reserves t = driver.max_queries batches up
+    front; with probability at least 1 - delta every answer is within tau
+    of the true mean. S holds at least t batches; a LabeledSource is read
+    as a stream of exactly t. The rounds are `run_driver`'s and the
+    transcript records each answer under its round, so a driver that asks
+    everything at once compiles to a one-round protocol. A query past the
+    declared bound is refused unasked.
     """
     t = int(driver.max_queries)
     batch = channel.batch_size(t, tau, delta)
@@ -350,20 +354,31 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
     report = ProtocolReport(samples_used=0, channel=channel, ledger=ledger)
 
     def ask(q: StatQuery, round_index: int) -> list[float]:
-        if len(report.transcript) + q.width > t:
+        first = len(report.transcript)
+        if first + q.width > t:
             raise BudgetExceeded(
                 f"driver exceeded its declared bound of {t} queries")
         start = report.samples_used
-        for span, values in _coordinate_batches(S, q, start, batch):
-            ledger.charge_span(span.start, span.stop, channel.budget)
-            est = channel.estimate_mean(
-                S, span, values,
-                derive_seed(seed, channel.seed_label, len(report.transcript)),
-            )
+        stop = start + q.width * batch
+        # Every value is checked before the ledger or transcript moves.
+        if isinstance(S, SampleStream):
+            block = evaluate_block(q, S.source.dist.matrix, S.source.labels)
+            ledger.charge_span(start, stop, channel.budget)
+            answers = channel.stream_estimates(
+                S.source.dist.probs, block, batch,
+                derive_seed(seed, channel.seed_label, first)).tolist()
+        else:
+            columns = [evaluate_block(q, *S.batch(a, a + batch))[:, j]
+                       for j, a in enumerate(range(start, stop, batch))]
+            ledger.charge_span(start, stop, channel.budget)
+            answers = [channel.rows_estimate(
+                values, derive_seed(seed, channel.seed_label, first + j))
+                for j, values in enumerate(columns)]
+        for est in answers:
             report.transcript.append(
                 TranscriptEntry(round_index, q.label_dependent, tau, est))
-            report.samples_used = span.stop
-        return [e.answer for e in report.transcript.entries[-q.width:]]
+        report.samples_used = stop
+        return answers
 
     run_driver(driver, ask)
     return driver.result(), report

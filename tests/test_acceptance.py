@@ -23,7 +23,7 @@ from localsq.baselines import (
     learn_decision_list_sq,
 )
 from localsq.cli import main as cli_main
-from localsq.comm import comm_batch_size, compile_sq_to_comm
+from localsq.comm import ONE_BIT, compile_sq_to_comm
 from localsq.core import (
     Explicit,
     Point,
@@ -149,7 +149,7 @@ def _compiler_failure_fraction(channel, trials=200, t=10, tau=0.1,
     if channel == "ldp":
         batch = ldp_batch_size(t, tau, delta, epsilon)
     else:
-        batch = comm_batch_size(t, tau, delta)
+        batch = ONE_BIT.batch_size(t, tau, delta)
     failures = 0
     for trial in range(trials):
         driver = _OneRoundDriver(_probe_queries(t, tau))

@@ -545,8 +545,9 @@ class TestDeterminism:
 # sha256 of every artifact, recorded before the halfspace rounds became
 # block queries; the change kept every byte. The four private runs on a
 # sample stream were re-recorded when a stream span's +1 count became one
-# Binomial(n, q) draw. The figures hold for IEEE doubles and the
-# numpy/BLAS builds this was recorded with.
+# Binomial(n, q) draw; the two learn-halfspace ones again when a block's
+# counts came to be drawn from one seed. The figures hold for IEEE doubles
+# and the numpy/BLAS builds this was recorded with.
 GOLDEN_DIGESTS = {
     "learn-halfspace-exact": (["learn-halfspace", "--seed", "0"], {
         "halfspace_report.json": "9ad7d62454b2b8ab30dd04c98513f5f17294c13feb81c45835669c88b87dd67a",
@@ -556,17 +557,17 @@ GOLDEN_DIGESTS = {
     }),
     "learn-halfspace-ldp": (["learn-halfspace", "--oracle", "ldp", "--d",
                              "10", "--seed", "0"], {
-        "halfspace_report.json": "30f4782b40d94fd704a396e3a051b6b2c945fdeeda3d553488fa65de7b17c409",
-        "hypothesis.json": "4941fd9dad50adfe565cc4b62a24fac1474fce688608d75bc2bfd187d4c58d3b",
+        "halfspace_report.json": "f33a528377e0df7f4d49b29bbd97d271c0216d293e7e18eb80e34ab547f1700c",
+        "hypothesis.json": "ad2d92dd40575d7ed07f2cd7e8f4c4ac669809881e3da16e6eec693f8bebf197",
         "results.csv": "d316c9c7cbfc15c8267297d7b8624a1c335500accf4bd8960ce2ce362a47219f",
-        "transcript.jsonl": "480062cb115505688739da1d84485d6df3840c0a6976b10173c60ee553c2f0ec",
+        "transcript.jsonl": "758a687a0de1cf531eb1b6466da9d805dfb390611a5efd14915c26b8940d25b4",
     }),
     "learn-halfspace-comm": (["learn-halfspace", "--oracle", "comm", "--d",
                               "10", "--seed", "0"], {
-        "halfspace_report.json": "334b960113bce533eaccd0706b56119357c10e54b490f63584f7ea3800e79bc7",
-        "hypothesis.json": "f2f69e598dfae268d49ad98a911e6d5b52377d5db04b03a24a777717d892a6cf",
+        "halfspace_report.json": "fdba51e4cd99e7d66c5c30d78e5884af93686b686c0f86b2262271c1942b9268",
+        "hypothesis.json": "f746f7acfa03968bdc1087a798158372f551db1a50060f87f717f1594cb9779c",
         "results.csv": "afcf16db8d3275438a5dc6128853639aa29bbc5ca5d460307f7c364dcbed572c",
-        "transcript.jsonl": "eb44192e035730466fe7385fa699e3e8fb077f7e3ed2c0ec5b7db9ae2ec5a8cf",
+        "transcript.jsonl": "6c995e417ebe6a036e9a1d7d09e34b244577bd99dce717269b20a0f1ef1a81be",
     }),
     "compile-report-comm": (["compile-report", "--channel", "comm", "--seed",
                              "0"], {

@@ -23,7 +23,6 @@ from localsq.errors import (
 )
 from localsq.comm import (
     ONE_BIT,
-    comm_batch_size,
     comm_estimate_mean,
     compile_sq_to_comm,
 )
@@ -126,7 +125,7 @@ class TestCommEstimateMean:
 
     def test_sized_batch_meets_tolerance(self):
         tau, delta = 0.1, 0.1
-        n = comm_batch_size(1, tau, delta)
+        n = ONE_BIT.batch_size(1, tau, delta)
         src = two_point_source(a=0.7, b=-0.2, pa=0.35)
         q = StatQuery(fn=first_coord, tau=tau, label_dependent=False)
         exact = ExactOracle(src).ask(q, 0)
@@ -142,7 +141,7 @@ class TestCompileToComm:
     def test_non_interactive_single_round(self):
         src = two_point_source()
         q = StatQuery(fn=first_coord, tau=0.2, label_dependent=False)
-        n = comm_batch_size(1, 0.2, 0.2)
+        n = ONE_BIT.batch_size(1, 0.2, 0.2)
         stream = SampleStream(src, n, seed=10)
         answers, report = compile_sq_to_comm(
             NonInteractiveDriver([q]), stream, tau=0.2, delta=0.2, seed=2
@@ -155,7 +154,7 @@ class TestCompileToComm:
         src = two_point_source(a=0.9, b=-0.5, pa=0.4)
         q = StatQuery(fn=first_coord, tau=0.15, label_dependent=False)
         exact = ExactOracle(src).ask(q, 0)
-        n = comm_batch_size(1, 0.15, 0.1)
+        n = ONE_BIT.batch_size(1, 0.15, 0.1)
         good = 0
         for trial in range(200):
             stream = SampleStream(src, n, seed=trial)
@@ -170,7 +169,7 @@ class TestCompileToComm:
         # 2 ln(2t/d)/tau^2 vs 8 ln(2t/d)/(c^2 tau^2): the bit protocol wins
         # by the factor 4/c^2 at any epsilon.
         for t, tau, delta in [(1, 0.1, 0.1), (10, 0.05, 0.01)]:
-            assert comm_batch_size(t, tau, delta) < ldp_batch_size(
+            assert ONE_BIT.batch_size(t, tau, delta) < ldp_batch_size(
                 t, tau, delta, epsilon=1.0
             )
 
@@ -180,7 +179,7 @@ class TestCompileToComm:
         q = StatQuery(fn=first_coord, tau=0.1, label_dependent=False)
         with pytest.raises(SizingError) as err:
             compile_sq_to_comm(NonInteractiveDriver([q]), stream, 0.1, 0.1)
-        assert err.value.required == comm_batch_size(1, 0.1, 0.1)
+        assert err.value.required == ONE_BIT.batch_size(1, 0.1, 0.1)
 
     def test_halfspace_rounds_on_dataset_use_each_batch(self):
         # Every coordinate of a gradient round must be evaluated on its own
@@ -204,7 +203,7 @@ class TestCompileToComm:
         driver = Recording(params, PsgdSettings(iterations=3,
                                                 per_coord_tol=3.0))
         tau = driver.per_coord_tol / (2.0 * d)
-        batch = comm_batch_size(driver.max_queries, tau, 0.1)
+        batch = ONE_BIT.batch_size(driver.max_queries, tau, 0.1)
         S = sample(src, driver.max_queries * batch, seed=7)
         _, report = compile_sq_to_comm(driver, S, tau, 0.1, seed=seed)
 
@@ -228,7 +227,7 @@ class TestCompileToComm:
     def test_each_client_spends_one_bit(self):
         src = two_point_source()
         qs = [StatQuery(fn=first_coord, tau=0.3, label_dependent=False)] * 2
-        n = 2 * comm_batch_size(2, 0.3, 0.2)
+        n = 2 * ONE_BIT.batch_size(2, 0.3, 0.2)
         stream = SampleStream(src, n, seed=3)
         _, report = compile_sq_to_comm(
             NonInteractiveDriver(qs), stream, tau=0.3, delta=0.2, seed=1
@@ -241,7 +240,7 @@ class TestCompileToComm:
     def test_report_json_uses_bits_key(self):
         src = two_point_source()
         q = StatQuery(fn=first_coord, tau=0.3, label_dependent=False)
-        n = comm_batch_size(1, 0.3, 0.2)
+        n = ONE_BIT.batch_size(1, 0.3, 0.2)
         stream = SampleStream(src, n, seed=3)
         _, report = compile_sq_to_comm(
             NonInteractiveDriver([q]), stream, tau=0.3, delta=0.2, seed=1

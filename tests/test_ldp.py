@@ -5,6 +5,7 @@ is checked by Monte Carlo against exact means with generous concentration
 margins; ledger safety is a hypothesis property over random call sequences.
 """
 
+import itertools
 import math
 import time
 
@@ -430,10 +431,64 @@ class TestCompileToLdp:
             driver.max_queries = 3
             runs.append(compile_sq_to_ldp(driver, S, 1.0, 0.3, 0.2, seed=4))
         (a, a_report), (b, b_report) = runs
-        assert a == b
-        assert a_report.to_json() == b_report.to_json()
+        if materialized:
+            assert a == b
+            assert a_report.to_json() == b_report.to_json()
+        else:
+            # On a stream the block draws its three counts from one seed,
+            # its first coordinate's, so only answer 0 is the scalar run's
+            # draw; the block's law is TestStreamLaw's. Everything else
+            # (rounds, n, tau, flags) stays exact.
+            a_json, b_json = a_report.to_json(), b_report.to_json()
+            for record in a_json["queries"][1:] + b_json["queries"][1:]:
+                del record["answer"]
+            assert a[0] == b[0]
+            assert a_json == b_json
+            assert a_report.samples_used == b_report.samples_used == n
         assert (a_report.ledger.per_index_spent
                 == b_report.ledger.per_index_spent)
+
+    @pytest.mark.parametrize("materialized", [False, True])
+    def test_out_of_range_block_refused_before_any_charge(
+            self, materialized, monkeypatch):
+        # Only the last column leaves [-1, 1]: the whole block is refused
+        # before the ledger is charged or the transcript gains an entry.
+        src = make_margin_source(3, 0.3, 10, seed=5)
+        block = StatQuery(
+            fn=lambda X, y: np.column_stack([X[:, 0], y, np.full(len(y), 2.0)]),
+            tau=0.3, label_dependent=True, width=3)
+        n = 3 * ldp_batch_size(3, 0.3, 0.2, 1.0)
+        stream = SampleStream(src, n, seed=31)
+        S = Dataset(*stream.batch(0, n), seed=0) if materialized else stream
+        calls = []
+        monkeypatch.setattr(PrivacyLedger, "charge_span",
+                            lambda *a: calls.append("charge"))
+        monkeypatch.setattr(InteractivityTranscript, "append",
+                            lambda *a: calls.append("append"))
+        driver = NonInteractiveDriver([block])
+        driver.max_queries = 3
+        with pytest.raises(ContractViolation):
+            compile_sq_to_ldp(driver, S, 1.0, 0.3, 0.2, seed=4)
+        assert calls == []
+
+    @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
+                             ids=["ldp", "one-bit"])
+    def test_label_block_covers_its_means(self, channel):
+        # Coverage of the batch rule on a width-50 block: across 200
+        # sources, the share of runs with any coordinate more than tau off
+        # its exact mean stays within delta.
+        tau, delta, runs = 0.1, 0.05, 200
+        block = StatQuery(fn=lambda X, y: y[:, None] * X, tau=tau,
+                          label_dependent=True, width=50)
+        off = 0
+        for k in range(runs):
+            src = make_margin_source(50, 0.3, 100, seed=k)
+            exact = src.dist.probs @ (src.labels[:, None] * src.dist.matrix)
+            driver = NonInteractiveDriver([block])
+            driver.max_queries = 50
+            answers, _ = compile_sq(driver, src, channel, tau, delta, seed=k)
+            off += np.max(np.abs(np.array(answers) - exact)) > tau
+        assert off / runs <= delta
 
     def test_non_interactive_driver_single_round(self):
         src = two_point_source()
@@ -622,3 +677,37 @@ class TestStreamLaw:
         q = float(probs @ p_rows)
         assert np.max(np.abs(two_stage_pmf(n, probs, p_rows)
                              - binomial_pmf(n, q))) < 1e-12
+
+    @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
+                             ids=["ldp", "one-bit"])
+    @pytest.mark.parametrize("width, n", [(2, 1), (2, 3), (3, 2)])
+    def test_block_counts_are_independent_binomials(self, channel, width, n):
+        # A block of width w on a stream: column j's n clients each draw a
+        # support point from probs, then send +1 with probability p_plus of
+        # that point's value in column j. Enumerating every client's
+        # (point, message) gives the joint law of the w counts, which is
+        # the product of Binomial(n, q_j); stream_estimates draws from it.
+        probs = np.array([0.2, 0.5, 0.3])
+        block = np.array([[0.7, -1.0, 0.2],
+                          [-0.3, 1.0, -0.9],
+                          [0.0, 1.0, 0.5]])[:, :width]
+        p_rows = channel.p_plus(block)
+        outcomes = [(i, m) for i in range(3) for m in (0, 1)]
+        joint = np.zeros((n + 1,) * width)
+        for clients in itertools.product(outcomes, repeat=width * n):
+            counts, mass = [0] * width, 1.0
+            for k, (i, m) in enumerate(clients):
+                p = p_rows[i, k // n]
+                mass *= probs[i] * (p if m else 1.0 - p)
+                counts[k // n] += m
+            joint[tuple(counts)] += mass
+        q = probs @ p_rows
+        product = binomial_pmf(n, q[0])
+        for qj in q[1:]:
+            product = np.multiply.outer(product, binomial_pmf(n, qj))
+        assert np.max(np.abs(joint - product)) < 1e-12
+        for seed in range(4):
+            plus = generator(seed).binomial(n, q)
+            assert np.array_equal(
+                channel.stream_estimates(probs, block, n, seed),
+                np.clip((2.0 * plus - n) / (channel.c * n), -1.0, 1.0))
