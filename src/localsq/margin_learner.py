@@ -13,7 +13,6 @@ the margin.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ from .core import (
 from .errors import PreconditionError, ProtocolError
 from .ldp import ProtocolReport, compile_sq_to_ldp
 from .sq import (
-    AskFn,
     ExactOracle,
     InteractivityTranscript,
     StatQuery,
@@ -116,20 +114,6 @@ def sign_weight(w: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
     return signp(plus).sum(axis=1) + signp(minus).sum(axis=1)
 
 
-def exact_grad_f1(w: np.ndarray, X: np.ndarray, probs: np.ndarray,
-                  gamma: float) -> np.ndarray:
-    """E[k(x) x] computed exactly over an explicit support."""
-    k = sign_weight(np.asarray(w, dtype=float), X, gamma)
-    return (probs * k) @ X
-
-
-def exact_grad_f2(X: np.ndarray, probs: np.ndarray,
-                  labels: np.ndarray) -> np.ndarray:
-    """-2d E[l x] computed exactly over an explicit support."""
-    d = X.shape[1]
-    return -2.0 * d * ((probs * labels) @ X)
-
-
 def grad_f1_query(w: np.ndarray, params: SurrogateParams,
                   query_tau: float) -> StatQuery:
     """Block of the dim label-independent gradient coordinate queries.
@@ -157,42 +141,6 @@ def grad_f2_query(params: SurrogateParams, query_tau: float) -> StatQuery:
 
     return StatQuery(fn=fn, tau=query_tau, label_dependent=True,
                      name="label-x", scale=-2.0 * d, width=d)
-
-
-@dataclass
-class MarginLearnerState:
-    """Mutable descent state; the label gradient is computed exactly once."""
-
-    w: np.ndarray
-    grad_f2: np.ndarray | None = None
-    iteration: int = 0
-
-
-def grad_f1(w: np.ndarray, ask: AskFn, params: SurrogateParams,
-            per_coord_tol: float, round_index: int = 0) -> np.ndarray:
-    """Estimate E[k(x) x] through label-independent queries at round_index."""
-    if not per_coord_tol > 0:
-        raise PreconditionError("tolerance must be positive")
-    scale = 2.0 * params.dim
-    query = grad_f1_query(w, params, per_coord_tol / scale)
-    return scale * np.ravel(ask(query, round_index))
-
-
-def grad_f2(ask: AskFn, params: SurrogateParams, per_coord_tol: float,
-            state: MarginLearnerState | None = None) -> np.ndarray:
-    """Estimate -2d E[l x] with round-0 queries; refuses a second pass."""
-    if not per_coord_tol > 0:
-        raise PreconditionError("tolerance must be positive")
-    if state is not None and state.grad_f2 is not None:
-        raise ProtocolError(
-            "label-dependent gradient already computed for this run"
-        )
-    scale = 2.0 * params.dim
-    query = grad_f2_query(params, per_coord_tol / scale)
-    out = -scale * np.ravel(ask(query, 0))
-    if state is not None:
-        state.grad_f2 = out
-    return out
 
 
 @dataclass(frozen=True)
@@ -290,17 +238,17 @@ class PsgdSettings:
 
 @dataclass
 class LearnerReport:
-    """Query accounting and optimization summary for one descent run."""
+    """Descent settings plus query accounting read from the run's transcript."""
 
     dim: int
     iterations_executed: int
     iterations_formula: int
     eta: float
     per_coord_tol: float
-    queries_total: int = 0
-    queries_label_dependent: int = 0
-    rounds: int = 0
-    label_non_adaptive: bool = True
+    queries_total: int
+    queries_label_dependent: int
+    rounds: int
+    label_non_adaptive: bool
 
     def to_json(self) -> dict:
         return {
@@ -330,66 +278,51 @@ class HalfspaceDriver:
         self.params = params
         self.iterations, self.per_coord_tol = settings.resolve(params)
         self.eta = 1.0 / (params.lipschitz * math.sqrt(self.iterations))
+        self.tau = self.per_coord_tol / (2.0 * params.dim)
         self.max_queries = params.dim * (self.iterations + 1)
-        self.report = LearnerReport(
-            dim=params.dim,
-            iterations_executed=self.iterations,
-            iterations_formula=params.iterations_formula(),
-            eta=self.eta,
-            per_coord_tol=self.per_coord_tol,
-        )
-        self.state = MarginLearnerState(w=np.zeros(params.dim))
+        self.w = np.zeros(params.dim)
+        self.g2: np.ndarray | None = None
+        self.iteration = 0
         self._w_sum = np.zeros(params.dim)
-        self._done = False
 
     def begin(self) -> list[StatQuery]:
-        d = self.params.dim
-        tau = self.per_coord_tol / (2.0 * d)
-        self.report.queries_total += 2 * d
-        self.report.queries_label_dependent += d
-        self.report.rounds = 1
-        return [grad_f2_query(self.params, tau),
-                grad_f1_query(self.state.w, self.params, tau)]
+        return [grad_f2_query(self.params, self.tau),
+                grad_f1_query(self.w, self.params, self.tau)]
 
     def feed(self, answers) -> list[StatQuery] | None:
         d = self.params.dim
         answers = np.asarray(answers, dtype=float).reshape(-1)
-        if self.state.grad_f2 is None:
+        if self.g2 is None:
             if answers.shape[0] != 2 * d:
                 raise ProtocolError("round 0 expects 2*dim answers")
-            self.state.grad_f2 = -2.0 * d * answers[:d]
+            self.g2 = -2.0 * d * answers[:d]
             g1 = 2.0 * d * answers[d:]
         else:
             if answers.shape[0] != d:
                 raise ProtocolError("gradient rounds expect dim answers")
             g1 = 2.0 * d * answers
         self._step(g1)
-        if self.state.iteration >= self.iterations:
-            self._done = True
+        if self.iteration >= self.iterations:
             return None
-        self.report.queries_total += d
-        self.report.rounds += 1
-        return [grad_f1_query(self.state.w, self.params,
-                              self.per_coord_tol / (2.0 * d))]
+        return [grad_f1_query(self.w, self.params, self.tau)]
 
     def _step(self, g1: np.ndarray):
         # Average the iterates at which gradients were measured, w0 included.
-        self._w_sum += self.state.w
-        grad = g1 + self.state.grad_f2
-        w = self.state.w - self.eta * grad
+        self._w_sum += self.w
+        w = self.w - self.eta * (g1 + self.g2)
         norm = float(np.linalg.norm(w))
         if norm > 1.0:
             w = w / norm
-        self.state.w = w
-        self.state.iteration += 1
+        self.w = w
+        self.iteration += 1
 
     def result(self) -> np.ndarray:
-        if not self._done:
+        if self.iteration < self.iterations:
             raise ProtocolError("descent has not finished")
         return self._w_sum / self.iterations
 
 
-class KnownDistributionDriver:
+class KnownDistributionDriver(HalfspaceDriver):
     """Single-round variant for a public, explicitly known distribution.
 
     Only the label-dependent correlation queries touch the oracle; every
@@ -399,56 +332,25 @@ class KnownDistributionDriver:
 
     def __init__(self, params: SurrogateParams, settings: PsgdSettings,
                  X: np.ndarray, probs: np.ndarray):
-        self.params = params
-        self.iterations, self.per_coord_tol = settings.resolve(params)
-        self.eta = 1.0 / (params.lipschitz * math.sqrt(self.iterations))
+        super().__init__(params, settings)
         self.max_queries = params.dim
         self.X = np.asarray(X, dtype=float)
         self.probs = np.asarray(probs, dtype=float)
-        self.report = LearnerReport(
-            dim=params.dim,
-            iterations_executed=self.iterations,
-            iterations_formula=params.iterations_formula(),
-            eta=self.eta,
-            per_coord_tol=self.per_coord_tol,
-        )
-        self._w_bar: np.ndarray | None = None
 
     def begin(self) -> list[StatQuery]:
-        d = self.params.dim
-        self.report.queries_total = d
-        self.report.queries_label_dependent = d
-        self.report.rounds = 1
-        return [grad_f2_query(self.params, self.per_coord_tol / (2.0 * d))]
+        return [grad_f2_query(self.params, self.tau)]
 
     def feed(self, answers) -> None:
         d = self.params.dim
-        g2 = -2.0 * d * np.asarray(answers, dtype=float).reshape(-1)
-        w = np.zeros(d)
-        w_sum = np.zeros(d)
+        answers = np.asarray(answers, dtype=float).reshape(-1)
+        if answers.shape[0] != d:
+            raise ProtocolError("the label round expects dim answers")
+        self.g2 = -2.0 * d * answers
         for _ in range(self.iterations):
-            w_sum += w
-            grad = exact_grad_f1(w, self.X, self.probs, self.params.gamma) + g2
-            w = w - self.eta * grad
-            norm = float(np.linalg.norm(w))
-            if norm > 1.0:
-                w = w / norm
-        self._w_bar = w_sum / self.iterations
+            # E[k(x) x], evaluated exactly on the known support.
+            k = sign_weight(self.w, self.X, self.params.gamma)
+            self._step((self.probs * k) @ self.X)
         return None
-
-    def result(self) -> np.ndarray:
-        if self._w_bar is None:
-            raise ProtocolError("descent has not finished")
-        return self._w_bar
-
-
-def psgd_learn(ask: AskFn, params: SurrogateParams,
-               settings: PsgdSettings | None = None
-               ) -> tuple[np.ndarray, LearnerReport]:
-    """Run the descent against an answer function; returns (w_bar, report)."""
-    driver = HalfspaceDriver(params, settings or PsgdSettings())
-    run_driver(driver, ask)
-    return driver.result(), driver.report
 
 
 @dataclass(frozen=True)
@@ -554,16 +456,27 @@ def learn_halfspace(
         run_driver(driver, ex.ask)
         w_bar, transcript, protocol = driver.result(), ex.transcript, None
     else:
-        tau = driver.per_coord_tol / (2.0 * params.dim)
         if oracle == "ldp":
             w_bar, protocol = compile_sq_to_ldp(
-                driver, working, epsilon, tau, sim_delta,
+                driver, working, epsilon, driver.tau, sim_delta,
                 seed=derive_seed(seed, "halfspace-ldp"))
         else:
             w_bar, protocol = compile_sq_to_comm(
-                driver, working, tau, sim_delta,
+                driver, working, driver.tau, sim_delta,
                 seed=derive_seed(seed, "halfspace-comm"))
         transcript = protocol.transcript
+    learner = LearnerReport(
+        dim=params.dim,
+        iterations_executed=driver.iterations,
+        iterations_formula=params.iterations_formula(),
+        eta=driver.eta,
+        per_coord_tol=driver.per_coord_tol,
+        queries_total=len(transcript),
+        queries_label_dependent=sum(
+            e.label_dependent for e in transcript.entries),
+        rounds=transcript.rounds_used(),
+        label_non_adaptive=assert_label_non_adaptive(transcript),
+    )
     info = HalfspaceRunInfo(
         mode=mode,
         oracle=oracle,
@@ -571,27 +484,9 @@ def learn_halfspace(
         working_dim=proj.target_dim,
         gamma_effective=gamma_eff,
         projected=projected,
-        learner=driver.report,
+        learner=learner,
         transcript=transcript,
         protocol_report=protocol,
     )
-    info.learner.label_non_adaptive = assert_label_non_adaptive(transcript)
     return HalfspaceHypothesis(proj=proj, w=np.asarray(w_bar)), info
 
-
-def hypothesis_to_json(h: HalfspaceHypothesis) -> str:
-    return json.dumps(h.to_json(), sort_keys=True)
-
-
-def hypothesis_from_json(text: str) -> HalfspaceHypothesis:
-    obj = json.loads(text)
-    matrix = np.asarray(obj["proj"], dtype=float)
-    return HalfspaceHypothesis(
-        proj=ProjectionMap(
-            matrix=matrix,
-            source_dim=matrix.shape[1],
-            target_dim=matrix.shape[0],
-            seed=0,
-        ),
-        w=np.asarray(obj["w"], dtype=float),
-    )

@@ -157,24 +157,6 @@ class InteractivityTranscript:
         return "".join(json.dumps(obj, sort_keys=True) + "\n"
                        for obj in self.records())
 
-    @classmethod
-    def from_jsonl(cls, text: str) -> "InteractivityTranscript":
-        t = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            t.append(
-                TranscriptEntry(
-                    round=int(obj["round"]),
-                    label_dependent=bool(obj["label_dep"]),
-                    tolerance=float(obj["tau"]),
-                    answer=float(obj["answer"]),
-                    scale=float(obj.get("scale", 1.0)),
-                )
-            )
-        return t
-
 
 def assert_label_non_adaptive(t: InteractivityTranscript) -> bool:
     """True iff every label-dependent entry was issued in round 0."""

@@ -48,8 +48,8 @@ from localsq.lowerbound import (
 )
 from localsq.margin_learner import (
     SurrogateParams,
-    grad_f1,
-    grad_f2,
+    grad_f1_query,
+    grad_f2_query,
     jl_project,
     learn_halfspace,
     surrogate_value,
@@ -267,8 +267,10 @@ def test_criterion_05_gradients():
                 continue
             checked += 1
             oracle = ExactOracle(src)
-            grad = (grad_f1(w, oracle.ask, params, 0.1)
-                    + grad_f2(oracle.ask, params, 0.1))
+            tau = 0.1 / (2.0 * d)
+            g1 = np.ravel(oracle.ask(grad_f1_query(w, params, tau), 0))
+            g2 = np.ravel(oracle.ask(grad_f2_query(params, tau), 0))
+            grad = 2.0 * d * g1 - 2.0 * d * g2
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = h

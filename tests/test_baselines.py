@@ -23,7 +23,12 @@ from localsq.core import (
 )
 from localsq.errors import LearningFailure, PreconditionError, ProtocolError
 from localsq.ldp import compile_sq_to_ldp, ldp_batch_size
-from localsq.sq import ExactOracle, InteractivityTranscript, PerturbingOracle
+from localsq.sq import (
+    ExactOracle,
+    InteractivityTranscript,
+    PerturbingOracle,
+    run_driver,
+)
 
 
 class TestConfig:
@@ -135,12 +140,17 @@ class TestAdaptivity:
 
     def test_halfspace_transcript_profile_contrasts(self):
         from localsq.core import make_margin_source
-        from localsq.margin_learner import PsgdSettings, SurrogateParams, psgd_learn
+        from localsq.margin_learner import (
+            HalfspaceDriver,
+            PsgdSettings,
+            SurrogateParams,
+        )
 
         src = make_margin_source(4, 0.3, 15, seed=1)
         oracle = ExactOracle(src)
-        psgd_learn(oracle.ask, SurrogateParams(gamma=0.3, alpha=0.1, dim=4),
-                   PsgdSettings(iterations=8))
+        driver = HalfspaceDriver(SurrogateParams(gamma=0.3, alpha=0.1, dim=4),
+                                 PsgdSettings(iterations=8))
+        run_driver(driver, oracle.ask)
         prof = adaptivity_profile(oracle.transcript)
         assert prof["label_dependent_rounds"] == [0]
 

@@ -569,6 +569,21 @@ GOLDEN_DIGESTS = {
         "results.csv": "afcf16db8d3275438a5dc6128853639aa29bbc5ca5d460307f7c364dcbed572c",
         "transcript.jsonl": "6c995e417ebe6a036e9a1d7d09e34b244577bd99dce717269b20a0f1ef1a81be",
     }),
+    "learn-halfspace-known": (["learn-halfspace", "--mode",
+                               "known_distribution", "--seed", "0"], {
+        "halfspace_report.json": "d5245c31802bbe99e8aa291294b1dcd36eb2f82abbca0a498aeadc20b8e32089",
+        "hypothesis.json": "1d721bf7f7cf57e3b7ed9828db97354b71f29e5fc244e68ae6100e23085293ea",
+        "results.csv": "4457918432d8372f14ec9708c3314eb01582273156c490b6e167f41cb4c352df",
+        "transcript.jsonl": "32284bf45699a964157dfcdee2b940b9fa641cfc28458598de423f7ec3ea85ea",
+    }),
+    "learn-halfspace-known-ldp": (["learn-halfspace", "--mode",
+                                   "known_distribution", "--oracle", "ldp",
+                                   "--d", "10", "--seed", "0"], {
+        "halfspace_report.json": "c26e23790bec4940bde8a8477bd0cffbe1d92159e08c6cb76ad39abe6cbca8b8",
+        "hypothesis.json": "5f85c746dc03187131a3785beb95e74dbf4259faf6e2d6bef3400f4f4bac2a59",
+        "results.csv": "864faea40b505d6476e3a2a8071ad4909ced3e4f2211f7238a642d0a7514ab86",
+        "transcript.jsonl": "949182cfcb8404c694eb1ef713703c12067884d02c9a7940490dda9516ed397e",
+    }),
     "compile-report-comm": (["compile-report", "--channel", "comm", "--seed",
                              "0"], {
         "protocol_report.json": "99cda9da5091cedf5272619b2d6cee57ef76796e413baad6a0a37589876b1582",

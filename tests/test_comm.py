@@ -192,12 +192,12 @@ class TestCompileToComm:
 
         class Recording(HalfspaceDriver):
             def begin(self):
-                iterates.append(self.state.w.copy())
+                iterates.append(self.w.copy())
                 return super().begin()
 
             def feed(self, answers):
                 nxt = super().feed(answers)
-                iterates.append(self.state.w.copy())
+                iterates.append(self.w.copy())
                 return nxt
 
         driver = Recording(params, PsgdSettings(iterations=3,

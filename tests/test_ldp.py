@@ -532,8 +532,6 @@ class TestCompileToLdp:
         assert isinstance(report.transcript, InteractivityTranscript)
         assert [e.answer for e in report.transcript.entries] == answers
         assert report.to_json()["queries"] == report.transcript.records()
-        back = InteractivityTranscript.from_jsonl(report.transcript.to_jsonl())
-        assert back.entries == report.transcript.entries
 
     def test_sizing_error_reports_requirement(self):
         src = two_point_source()

@@ -25,29 +25,39 @@ from localsq.errors import PreconditionError, ProtocolError
 from localsq.margin_learner import (
     HalfspaceDriver,
     HalfspaceHypothesis,
-    MarginLearnerState,
+    KnownDistributionDriver,
     PsgdSettings,
     SurrogateParams,
-    exact_grad_f1,
-    exact_grad_f2,
-    grad_f1,
-    grad_f2,
-    hypothesis_from_json,
-    hypothesis_to_json,
+    grad_f1_query,
+    grad_f2_query,
     identity_projection,
     jl_dim,
     jl_project,
     learn_halfspace,
-    psgd_learn,
+    sign_weight,
     surrogate_value,
 )
-from localsq.sq import ExactOracle, assert_label_non_adaptive
+from localsq.sq import ExactOracle, assert_label_non_adaptive, run_driver
 
 
 def single_example_source(x, label):
     p = Point(np.asarray(x, dtype=float))
     dist = FiniteDistribution([p], [1.0])
     return LabeledSource(dist, Explicit.from_support([p], (label,)))
+
+
+def grad_f1(w, ask, params, per_coord_tol):
+    """E[k(x) x]: the label-free gradient block asked at round 0, rescaled."""
+    scale = 2.0 * params.dim
+    query = grad_f1_query(w, params, per_coord_tol / scale)
+    return scale * np.ravel(ask(query, 0))
+
+
+def grad_f2(ask, params, per_coord_tol):
+    """-2d E[l x]: the label block asked at round 0, rescaled."""
+    scale = 2.0 * params.dim
+    query = grad_f2_query(params, per_coord_tol / scale)
+    return -scale * np.ravel(ask(query, 0))
 
 
 def loop_surrogate(w, src, gamma):
@@ -160,15 +170,6 @@ class TestGradF2:
         b = grad_f2(ExactOracle(flipped).ask, params, per_coord_tol=0.1)
         assert np.allclose(a, -b)
 
-    def test_second_invocation_refused(self):
-        src = single_example_source([1.0, 0.0], 1)
-        params = SurrogateParams(gamma=0.2, alpha=0.1, dim=2)
-        state = MarginLearnerState(w=np.zeros(2))
-        ask = ExactOracle(src).ask
-        grad_f2(ask, params, per_coord_tol=0.1, state=state)
-        with pytest.raises(ProtocolError):
-            grad_f2(ask, params, per_coord_tol=0.1, state=state)
-
     def test_all_queries_label_dependent_round_zero(self):
         src = make_margin_source(3, 0.2, 7, seed=2)
         params = SurrogateParams(gamma=0.2, alpha=0.1, dim=3)
@@ -212,10 +213,12 @@ class TestGradF1:
         params = SurrogateParams(gamma=0.2, alpha=0.1, dim=4)
         w = np.array([0.2, -0.1, 0.3, 0.05])
         via_queries = grad_f1(w, ExactOracle(src).ask, params, 0.1)
-        direct = exact_grad_f1(w, src.dist.matrix, src.dist.probs, 0.2)
+        k = sign_weight(w, src.dist.matrix, 0.2)
+        direct = (src.dist.probs * k) @ src.dist.matrix
         assert np.allclose(via_queries, direct, atol=1e-12)
         g2_queries = grad_f2(ExactOracle(src).ask, params, 0.1)
-        g2_direct = exact_grad_f2(src.dist.matrix, src.dist.probs, src.labels)
+        g2_direct = -2.0 * params.dim * (
+            (src.dist.probs * src.labels) @ src.dist.matrix)
         assert np.allclose(g2_queries, g2_direct, atol=1e-12)
 
     def test_finite_difference_agreement(self):
@@ -322,16 +325,19 @@ class TestPsgd:
         src = make_margin_source(5, 0.3, 40, seed=3)
         params = SurrogateParams(gamma=0.3, alpha=0.1, dim=5)
         oracle = ExactOracle(src)
-        w_bar, report = psgd_learn(oracle.ask, params)
+        driver = HalfspaceDriver(params, PsgdSettings())
+        run_driver(driver, oracle.ask)
+        w_bar = driver.result()
         h = HalfspaceHypothesis(proj=identity_projection(5), w=w_bar)
         assert classification_error(h, src) <= 0.1
-        assert report.label_non_adaptive
+        assert assert_label_non_adaptive(oracle.transcript)
 
     def test_transcript_label_dependence_structure(self):
         src = make_margin_source(4, 0.3, 20, seed=6)
         params = SurrogateParams(gamma=0.3, alpha=0.1, dim=4)
         oracle = ExactOracle(src)
-        psgd_learn(oracle.ask, params, PsgdSettings(iterations=10))
+        run_driver(HalfspaceDriver(params, PsgdSettings(iterations=10)),
+                   oracle.ask)
         label_dep = [e for e in oracle.transcript.entries if e.label_dependent]
         assert len(label_dep) == 4
         assert all(e.round == 0 for e in label_dep)
@@ -343,11 +349,8 @@ class TestPsgd:
         settings = PsgdSettings(iterations=12)
         driver = HalfspaceDriver(params, settings)
         oracle = ExactOracle(src)
-        from localsq.sq import run_driver
-
         run_driver(driver, oracle.ask)
         assert len(oracle.transcript) == driver.max_queries == 4 * 13
-        assert driver.report.queries_total == driver.max_queries
 
     def test_iterates_stay_in_ball(self):
         src = make_margin_source(4, 0.3, 20, seed=8)
@@ -358,12 +361,44 @@ class TestPsgd:
         while queries is not None:
             answers = [oracle.ask(q, 0) for q in queries]
             queries = driver.feed(answers)
-            assert np.linalg.norm(driver.state.w) <= 1.0 + 1e-9
+            assert np.linalg.norm(driver.w) <= 1.0 + 1e-9
         assert np.linalg.norm(driver.result()) <= 1.0 + 1e-9
 
     def test_result_before_completion_refused(self):
         params = SurrogateParams(gamma=0.3, alpha=0.1, dim=4)
         driver = HalfspaceDriver(params, PsgdSettings(iterations=5))
+        with pytest.raises(ProtocolError):
+            driver.result()
+
+
+class TestKnownDistributionDriver:
+    def make(self, d=4, iterations=5):
+        src = make_margin_source(d, 0.3, 20, seed=6)
+        params = SurrogateParams(gamma=0.3, alpha=0.1, dim=d)
+        driver = KnownDistributionDriver(
+            params, PsgdSettings(iterations=iterations),
+            src.dist.matrix, src.dist.probs)
+        return src, driver
+
+    @pytest.mark.parametrize("n_answers", [1, 3, 5, 8])
+    def test_feed_refuses_wrong_answer_count(self, n_answers):
+        _, driver = self.make(d=4)
+        driver.begin()
+        with pytest.raises(ProtocolError):
+            driver.feed([0.1] * n_answers)
+
+    def test_one_label_round_then_local_descent(self):
+        src, driver = self.make(d=4, iterations=7)
+        oracle = ExactOracle(src)
+        assert run_driver(driver, oracle.ask) == 1
+        assert len(oracle.transcript) == driver.max_queries == 4
+        assert all(e.label_dependent for e in oracle.transcript.entries)
+        assert driver.iteration == 7
+        assert np.linalg.norm(driver.result()) <= 1.0 + 1e-9
+
+    def test_result_before_feed_refused(self):
+        _, driver = self.make()
+        driver.begin()
         with pytest.raises(ProtocolError):
             driver.result()
 
@@ -416,16 +451,23 @@ class TestLearnHalfspace:
         assert info.gamma_effective == pytest.approx(0.4)
         assert classification_error(h, src) <= 0.2
 
+    @pytest.mark.parametrize("mode,total,rounds", [
+        ("distribution_free", 4 * 13, 12),
+        ("known_distribution", 4, 1),
+    ])
+    def test_report_counts_match_the_protocol(self, mode, total, rounds):
+        src = make_margin_source(4, 0.3, 20, seed=6)
+        _, info = learn_halfspace(src, 0.3, 0.1, 0.05, mode=mode,
+                                  settings=PsgdSettings(iterations=12))
+        report = info.learner.to_json()
+        assert report["queries_total"] == total
+        assert report["queries_label_dependent"] == 4
+        assert report["rounds"] == rounds
+        assert report["label_non_adaptive"] is True
+
     def test_invalid_mode_and_oracle_rejected(self):
         src = make_margin_source(5, 0.3, 10, seed=1)
         with pytest.raises(PreconditionError):
             learn_halfspace(src, 0.3, 0.1, 0.05, mode="other")
         with pytest.raises(PreconditionError):
             learn_halfspace(src, 0.3, 0.1, 0.05, oracle="psq")
-
-    def test_hypothesis_json_roundtrip(self):
-        src = make_margin_source(6, 0.3, 30, seed=9)
-        h, _ = learn_halfspace(src, 0.3, 0.1, 0.05, oracle="exact", seed=9)
-        back = hypothesis_from_json(hypothesis_to_json(h))
-        assert np.array_equal(back.labels_for(src.dist.matrix),
-                              h.labels_for(src.dist.matrix))

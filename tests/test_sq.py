@@ -320,13 +320,6 @@ class TestTranscript:
         with pytest.raises(ProtocolError):
             t.append(TranscriptEntry(0, False, 0.1, 0.0))
 
-    def test_jsonl_roundtrip(self):
-        t = InteractivityTranscript()
-        t.append(TranscriptEntry(0, True, 0.1, -0.25))
-        t.append(TranscriptEntry(1, False, 0.05, 0.75))
-        back = InteractivityTranscript.from_jsonl(t.to_jsonl())
-        assert back.entries == t.entries
-
     def test_jsonl_keys(self):
         import json as json_mod
         t = InteractivityTranscript()
