@@ -15,9 +15,9 @@ ONE_BIT = Channel(c=1.0, budget_key="bits", budget=1, hoeffding=2.0,
                   seed_label="comm-query")
 
 
-def comm_estimate_mean(S, indices, phi, seed: int) -> float:
-    """Estimate E[phi] from one extracted bit per batch sample."""
-    return ONE_BIT.estimate_mean(S, indices, phi, seed)
+def comm_estimate_mean(S, span, phi, seed: int) -> float:
+    """Estimate E[phi] from one extracted bit per client of a stream span."""
+    return ONE_BIT.estimate_mean(S, span, phi, seed)
 
 
 def compile_sq_to_comm(driver, S, tau: float, delta: float,

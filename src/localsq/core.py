@@ -3,15 +3,15 @@
 Everything downstream (oracles, compilers, learners, the lower-bound lab)
 works against the types defined here: points in the unit ball, explicit
 finite distributions, target function classes closed under negation, labeled
-sources supporting exact expectations, and seeded sampling. Distributions
+sources supporting exact expectations, and seeded sample streams. Distributions
 are explicit finite lists on purpose: oracle-equality and lower-bound
 demonstrations need exact means, not estimates.
 """
 
 from __future__ import annotations
 
-import io
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,17 +36,23 @@ class Point:
     """A point in the Euclidean unit ball.
 
     Coordinates whose norm exceeds 1 by more than 1e-9 are rescaled onto
-    the sphere with a logged warning rather than rejected.
+    the sphere with a logged warning rather than rejected; NaN and infinite
+    coordinates are refused. -0.0 is stored as 0.0, so points that compare
+    equal also hash equal.
     """
 
     coords: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coords, dtype=float).reshape(-1)
+        # A fresh float copy; -0.0 + 0.0 is 0.0 and every other value stays.
+        arr = np.add(self.coords, 0.0, dtype=float).reshape(-1)
         norm = float(np.linalg.norm(arr))
+        # Only a non-finite coordinate, or overflow, makes the norm non-finite.
+        if not math.isfinite(norm) and not np.isfinite(arr).all():
+            raise PreconditionError("point coordinates must be finite")
         if norm > 1.0 + BALL_TOL:
             logger.warning("point norm %.6g > 1; rescaling onto the unit sphere", norm)
-            arr = arr / norm
+            arr = arr / norm + 0.0
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 
@@ -80,15 +86,15 @@ class FiniteDistribution:
             raise PreconditionError("empty support")
         if probs_arr.shape != (len(support),):
             raise PreconditionError("probs length does not match support")
+        if not np.isfinite(probs_arr).all():
+            raise PreconditionError("probabilities must be finite")
         if np.any(probs_arr < 0):
             raise PreconditionError("negative probability")
         if abs(float(probs_arr.sum()) - 1.0) > PROB_TOL:
             raise PreconditionError(
                 f"probabilities sum to {probs_arr.sum()!r}, not 1 within {PROB_TOL}"
             )
-        if len({hash(p) for p in support}) != len(support) or len(set(support)) != len(
-            support
-        ):
+        if len(set(support)) != len(support):
             raise PreconditionError("support entries must be distinct")
         dims = {p.dim for p in support}
         if len(dims) != 1:
@@ -145,6 +151,8 @@ class LinearThreshold(TargetFunction):
 
     def __init__(self, w: np.ndarray, gamma: float):
         w = np.array(w, dtype=float).reshape(-1)
+        if not np.isfinite(w).all():
+            raise PreconditionError("threshold weights must be finite")
         norm = float(np.linalg.norm(w))
         if norm > 1.0 + BALL_TOL:
             logger.warning("threshold weights norm %.6g > 1; rescaling", norm)
@@ -243,10 +251,11 @@ class Explicit(TargetFunction):
         return cls(dict(zip(support, labels)))
 
     def labels_for(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        # -0.0 is keyed as 0.0, as in Point's coords.
+        X = np.asarray(X, dtype=float) + 0.0
         out = np.empty(X.shape[0])
         for row in range(X.shape[0]):
-            key = np.ascontiguousarray(X[row]).tobytes()
+            key = X[row].tobytes()
             if key not in self._table:
                 raise EvaluationError("function undefined on a queried point")
             out[row] = float(self._table[key])
@@ -258,9 +267,9 @@ class Explicit(TargetFunction):
         return flipped
 
     def to_json(self) -> dict:
-        # Meaningful only alongside the support ordering; handled by the
-        # source serializer.
-        raise NotImplementedError("serialize via source_to_json")
+        raise PreconditionError(
+            "an explicit target has no JSON form apart from its support: "
+            "serialize its labels in support order")
 
 
 def negate(f: TargetFunction) -> TargetFunction:
@@ -296,45 +305,18 @@ class LabeledSource:
         return self.dist.expectation(values)
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Materialized i.i.d. examples (points as rows of X, labels in y)."""
-
-    X: np.ndarray
-    y: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise PreconditionError("X must be (n, d) with matching labels")
-        X.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-
-    def __len__(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def examples(self) -> list[tuple[Point, int]]:
-        return [(Point(self.X[i]), int(self.y[i])) for i in range(len(self))]
-
-    def batch(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.X[start:stop], self.y[start:stop]
-
-
 class SampleStream:
-    """Lazy view of n i.i.d. draws from a labeled source.
+    """Lazy view of n i.i.d. draws from a labeled source: n clients with
+    one example each.
 
-    Nothing is materialized; `compile_sq` builds one from a LabeledSource,
-    sized to its batches. The mean estimators never draw a span's examples:
-    each of its clients sends +1 with probability q = sum_i probs[i]
-    p_plus(v_i), so a span [start, stop) is one Binomial(stop - start, q)
-    count seeded by the channel (see `Channel.stream_estimates`). `counts`
-    and `batch` realize a span as multinomial support counts, a pure
-    function of (source, seed, start); the stream's seed drives only these.
+    Nothing is materialized. The mean estimators never draw a span's
+    examples: each of its clients sends +1 with probability q = sum_i
+    probs[i] p_plus(v_i), so a span [start, stop) is one
+    Binomial(stop - start, q) count seeded by the channel (see
+    `Channel.stream_estimates`). `counts` and `batch` realize a span as
+    multinomial support counts and the rows they repeat, a pure function of
+    (source, seed, start); the stream's seed drives only these, which give
+    a per-row reference for the estimators' law.
     """
 
     def __init__(self, source: LabeledSource, n: int, seed: int):
@@ -376,26 +358,6 @@ def classification_error(h, src: LabeledSource) -> float:
     else:
         raise EvaluationError("hypothesis is neither a target function nor callable")
     return float(np.sum(src.dist.probs * (predicted != src.labels)))
-
-
-def exact_margin(w: np.ndarray, src: LabeledSource) -> float:
-    """min over support of f(x) * <w, x>."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if float(np.linalg.norm(w)) > 1.0 + BALL_TOL:
-        raise PreconditionError("w must lie in the unit ball")
-    if w.shape[0] != src.dim:
-        raise PreconditionError("dimension mismatch")
-    margins = src.labels * (src.dist.matrix @ w)
-    return float(margins.min())
-
-
-def sample(src: LabeledSource, n: int, seed: int) -> Dataset:
-    """n i.i.d. draws from the source; deterministic for a fixed seed."""
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    rng = generator(derive_seed(seed, "core-sample"))
-    idx = rng.choice(len(src.dist), size=n, p=src.dist.probs)
-    return Dataset(src.dist.matrix[idx], src.labels[idx], seed)
 
 
 def embed_hypercube(bits: Sequence[int]) -> Point:
@@ -482,68 +444,3 @@ def random_decision_list(d: int, length: int, seed: int) -> DecisionList:
         items.append((int(i), polarity, output))
     default = -1 if rng.random() < 0.5 else 1
     return DecisionList(items, default)
-
-
-# ---------------------------------------------------------------------------
-# Serialization.
-
-
-def target_from_json(obj: dict, support: Sequence[Point] | None = None) -> TargetFunction:
-    kind = obj.get("kind")
-    if kind == "linear_threshold":
-        return LinearThreshold(np.asarray(obj["w"], dtype=float), float(obj["gamma"]))
-    if kind == "decision_list":
-        return DecisionList([tuple(item) for item in obj["items"]], obj["default"])
-    if kind == "explicit":
-        if support is None:
-            raise PreconditionError("explicit targets need the support ordering")
-        return Explicit.from_support(support, [int(v) for v in obj["labels"]])
-    raise PreconditionError(f"unknown target kind {kind!r}")
-
-
-def source_to_json(src: LabeledSource) -> dict:
-    if isinstance(src.target, Explicit):
-        target_obj = {
-            "kind": "explicit",
-            "labels": [int(v) for v in src.labels],
-        }
-    else:
-        target_obj = src.target.to_json()
-    return {
-        "dim": src.dim,
-        "support": [[float(v) for v in p.coords] for p in src.dist.support],
-        "probs": [float(v) for v in src.dist.probs],
-        "target": target_obj,
-    }
-
-
-def source_from_json(obj: dict) -> LabeledSource:
-    support = [Point(np.asarray(row, dtype=float)) for row in obj["support"]]
-    for p in support:
-        if p.dim != int(obj["dim"]):
-            raise PreconditionError("support dimension disagrees with dim field")
-    dist = FiniteDistribution(support, [float(v) for v in obj["probs"]])
-    target = target_from_json(obj["target"], support)
-    return LabeledSource(dist, target)
-
-
-def dataset_to_csv(ds: Dataset) -> str:
-    """Columns x_1..x_d,label; floats rendered with repr for stability."""
-    buf = io.StringIO()
-    d = ds.X.shape[1]
-    buf.write(",".join([f"x_{j + 1}" for j in range(d)] + ["label"]) + "\n")
-    for i in range(len(ds)):
-        row = [repr(float(v)) for v in ds.X[i]] + [str(int(ds.y[i]))]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def dataset_from_csv(text: str, seed: int = 0) -> Dataset:
-    lines = [line for line in text.strip().splitlines() if line]
-    header = lines[0].split(",")
-    if header[-1] != "label" or not header[0].startswith("x_"):
-        raise PreconditionError("unexpected CSV header")
-    rows = [line.split(",") for line in lines[1:]]
-    X = np.array([[float(v) for v in row[:-1]] for row in rows])
-    y = np.array([float(row[-1]) for row in rows])
-    return Dataset(X, y, seed)

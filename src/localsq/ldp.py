@@ -94,21 +94,23 @@ class Channel:
         """Probability that a client holding value v sends +1."""
         return 0.5 + self.c * v / 2.0
 
-    def estimate_mean(self, S, indices, phi, seed: int) -> float:
-        """Estimate E[phi] from one message per batch sample.
+    def estimate_mean(self, S: SampleStream, span: range, phi,
+                      seed: int) -> float:
+        """Estimate E[phi] from one message per client of a stream span.
 
-        phi is a query fn, or its values already evaluated on the batch rows
-        (the support rows for a SampleStream). Returns clamp(sum(o_i) / (c n),
-        -1, 1); the pre-clamp estimate is unbiased. A SampleStream span is
-        the width-1 case of `stream_estimates`; a Dataset's rows are distinct
-        clients, one Bernoulli(p_plus) draw each (`rows_estimate`).
+        span is a range with step 1 inside the stream; phi is evaluated on
+        the source's support rows. Returns clamp(sum(o_i) / (c n), -1, 1),
+        whose pre-clamp value is unbiased: the width-1 case of
+        `stream_estimates`.
         """
-        X, y, n = _resolve_batch(S, indices)
-        values = checked_values(phi(X, y) if callable(phi) else phi, y.shape)
-        if isinstance(S, SampleStream):
-            return float(self.stream_estimates(
-                S.source.dist.probs, values[:, None], n, seed)[0])
-        return self.rows_estimate(values, seed)
+        if not isinstance(span, range) or span.step != 1:
+            raise PreconditionError("a batch is a span: a range with step 1")
+        S.check_span(span.start, span.stop)
+        source = S.source
+        values = checked_values(phi(source.dist.matrix, source.labels),
+                                source.labels.shape)
+        return float(self.stream_estimates(
+            source.dist.probs, values[:, None], len(span), seed)[0])
 
     def stream_estimates(self, probs, block, n: int, seed: int) -> np.ndarray:
         """Estimates of a block's columns, each from its own n stream clients.
@@ -127,11 +129,6 @@ class Channel:
         plus = (rng.binomial(n, q[0], size=1) if len(q) == 1
                 else rng.binomial(n, q))
         return self._debiased(plus, n)
-
-    def rows_estimate(self, values: np.ndarray, seed: int) -> float:
-        """Estimate from checked values on distinct clients, one draw each."""
-        plus = generator(seed).binomial(1, self.p_plus(values)).sum()
-        return float(self._debiased(plus, len(values)))
 
     def _debiased(self, plus, n: int):
         return ((2.0 * plus - n) / (self.c * n)).clip(-1.0, 1.0)
@@ -186,9 +183,9 @@ def rr_randomizer(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return ldp_channel(epsilon).randomizer(phi)
 
 
-def ldp_estimate_mean(S, indices, phi, epsilon: float, seed: int) -> float:
+def ldp_estimate_mean(S, span, phi, epsilon: float, seed: int) -> float:
     """Estimate E[phi] on the epsilon-locally-private channel."""
-    return ldp_channel(epsilon).estimate_mean(S, indices, phi, seed)
+    return ldp_channel(epsilon).estimate_mean(S, span, phi, seed)
 
 
 class PrivacyLedger:
@@ -262,30 +259,6 @@ class PrivacyLedger:
             levels[k] += amount
 
 
-def _resolve_batch(S, indices) -> tuple[np.ndarray, np.ndarray, int]:
-    """Rows, labels and client count for a batch.
-
-    A range is the span [start, stop); any other sequence lists indices
-    into a materialized dataset. A SampleStream is read by spans only, and
-    its rows are the support points.
-    """
-    if isinstance(indices, range):
-        if indices.step != 1:
-            raise PreconditionError("a batch span must have step 1")
-        if isinstance(S, SampleStream):
-            S.check_span(indices.start, indices.stop)
-            return S.source.dist.matrix, S.source.labels, len(indices)
-        X, y = S.batch(indices.start, indices.stop)
-    elif isinstance(S, SampleStream):
-        raise PreconditionError("a sample stream is read by spans only")
-    else:
-        idx = np.asarray(indices, dtype=np.int64)
-        X, y = S.X[idx], S.y[idx]
-    if len(y) == 0:
-        raise PreconditionError("empty batch")
-    return X, y, len(y)
-
-
 @dataclass
 class ProtocolReport:
     """Round structure, sample usage, and the transcript of a compiled run.
@@ -327,27 +300,25 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
     """Run an SQ driver against fresh-batch estimates on a channel.
 
     Every query coordinate is answered on its own contiguous batch of
-    previously-untouched samples, so each client sends exactly one message
+    previously-untouched clients, so each client sends exactly one message
     and spends the channel's budget once. A block of width w is range
-    checked, then charged as one span of w batches; a SampleStream answers
-    it with one `stream_estimates` draw seeded by its first coordinate's
-    index, a Dataset with one `rows_estimate` per coordinate, each seeded
-    by its own index. Budgeting reserves t = driver.max_queries batches up
-    front; with probability at least 1 - delta every answer is within tau
-    of the true mean. S holds at least t batches; a LabeledSource is read
-    as a stream of exactly t. The rounds are `run_driver`'s and the
-    transcript records each answer under its round, so a driver that asks
-    everything at once compiles to a one-round protocol. A query past the
-    declared bound is refused unasked.
+    checked on the support, charged as one span of w batches and answered
+    with one `stream_estimates` draw seeded by its first coordinate's
+    index. Budgeting reserves t = driver.max_queries batches up front; with
+    probability at least 1 - delta every answer is within tau of the true
+    mean. S is a LabeledSource, read as a stream of exactly t batches, or a
+    SampleStream of at least t batches; only its source and length matter.
+    The rounds are `run_driver`'s and the transcript records each answer
+    under its round, so a driver that asks everything at once compiles to a
+    one-round protocol. A query past the declared bound is refused unasked.
     """
     t = int(driver.max_queries)
     batch = channel.batch_size(t, tau, delta)
     need = t * batch
-    if isinstance(S, LabeledSource):
-        S = SampleStream(S, need, seed)
-    if len(S) < need:
+    source, n = (S, need) if isinstance(S, LabeledSource) else (S.source, len(S))
+    if n < need:
         raise SizingError(
-            f"need {need} samples ({t} queries x batch {batch}), have {len(S)}",
+            f"need {need} samples ({t} queries x batch {batch}), have {n}",
             required=need,
         )
     ledger = PrivacyLedger(cap=channel.budget)
@@ -361,19 +332,11 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
         start = report.samples_used
         stop = start + q.width * batch
         # Every value is checked before the ledger or transcript moves.
-        if isinstance(S, SampleStream):
-            block = evaluate_block(q, S.source.dist.matrix, S.source.labels)
-            ledger.charge_span(start, stop, channel.budget)
-            answers = channel.stream_estimates(
-                S.source.dist.probs, block, batch,
-                derive_seed(seed, channel.seed_label, first)).tolist()
-        else:
-            columns = [evaluate_block(q, *S.batch(a, a + batch))[:, j]
-                       for j, a in enumerate(range(start, stop, batch))]
-            ledger.charge_span(start, stop, channel.budget)
-            answers = [channel.rows_estimate(
-                values, derive_seed(seed, channel.seed_label, first + j))
-                for j, values in enumerate(columns)]
+        block = evaluate_block(q, source.dist.matrix, source.labels)
+        ledger.charge_span(start, stop, channel.budget)
+        answers = channel.stream_estimates(
+            source.dist.probs, block, batch,
+            derive_seed(seed, channel.seed_label, first)).tolist()
         for est in answers:
             report.transcript.append(
                 TranscriptEntry(round_index, q.label_dependent, tau, est))

@@ -65,13 +65,6 @@ TARGET = {
     ]
 }
 
-SOURCE = _obj({
-    "dim": _INT1,
-    "support": _MATRIX,
-    "probs": _VEC,
-    "target": TARGET,
-})
-
 TRANSCRIPT_ENTRY = _obj(
     {"round": _INT0, "label_dep": _BOOL, "tau": _POS, "answer": _NUM,
      "scale": _NUM},
@@ -269,7 +262,6 @@ CONFIG = _obj(
 
 SCHEMAS = {
     "config": CONFIG,
-    "source": SOURCE,
     "target": TARGET,
     "transcript_entry": TRANSCRIPT_ENTRY,
     "ldp_report": LDP_REPORT,

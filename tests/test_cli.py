@@ -387,6 +387,16 @@ class TestAdversary:
         assert main(["adversary-demo", "--class", f"explicit:{spec}",
                      "--out", str(tmp_path / "adv")]) == 2
 
+    def test_explicit_class_nan_coordinate_is_two(self, tmp_path, capsys):
+        # Python's json reads NaN; a point must still be finite.
+        spec = tmp_path / "class.json"
+        spec.write_text('{"support": [[NaN, 0.5], [0.5, -0.5]], '
+                        '"targets": [[1, -1]]}')
+        assert main(["adversary-demo", "--class", f"explicit:{spec}",
+                     "--out", str(tmp_path / "adv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: point coordinates must be finite\n")
+
     @pytest.mark.parametrize("text", [None, "{not json"],
                              ids=["missing", "bad-json"])
     def test_unreadable_explicit_class_file_is_two(self, tmp_path, capsys,

@@ -13,7 +13,6 @@ from localsq.core import (
     Point,
     SampleStream,
     make_margin_source,
-    sample,
 )
 from localsq.errors import (
     BudgetExceeded,
@@ -110,9 +109,9 @@ class TestOneBitExtractor:
 class TestCommEstimateMean:
     def test_extreme_value_exact(self):
         src = two_point_source()
-        S = sample(src, 30, seed=4)
+        S = SampleStream(src, 30, seed=4)
         est = comm_estimate_mean(
-            S, np.arange(30), lambda X, y: np.ones(len(X)), seed=1
+            S, range(0, 30), lambda X, y: np.ones(len(X)), seed=1
         )
         assert est == 1.0
 
@@ -182,9 +181,10 @@ class TestCompileToComm:
         assert err.value.required == ONE_BIT.batch_size(1, 0.1, 0.1)
 
     def test_halfspace_rounds_on_dataset_use_each_batch(self):
-        # Every coordinate of a gradient round must be evaluated on its own
-        # batch of a materialized Dataset: the reference recomputes each
-        # answer from that coordinate's rows with the compiler's seed.
+        # Every round is one block of d coordinates, each on its own batch:
+        # the reference recomputes each block's answers on the support with
+        # one `stream_estimates` draw under the compiler's seed for the
+        # block's first coordinate.
         d, gamma, seed = 3, 0.3, 4
         src = make_margin_source(d, gamma, 20, seed=2)
         params = SurrogateParams(gamma=gamma, alpha=0.1, dim=d)
@@ -204,7 +204,7 @@ class TestCompileToComm:
                                                 per_coord_tol=3.0))
         tau = driver.per_coord_tol / (2.0 * d)
         batch = ONE_BIT.batch_size(driver.max_queries, tau, 0.1)
-        S = sample(src, driver.max_queries * batch, seed=7)
+        S = SampleStream(src, driver.max_queries * batch, seed=7)
         _, report = compile_sq_to_comm(driver, S, tau, 0.1, seed=seed)
 
         def label_coord(j):
@@ -213,16 +213,20 @@ class TestCompileToComm:
         def signsum_coord(w, j):
             return lambda X, y: sign_weight(w, X, gamma) * X[:, j] / (2.0 * d)
 
-        phis = [label_coord(j) for j in range(d)]
-        for w in iterates[:-1]:
-            phis += [signsum_coord(w, j) for j in range(d)]
-        assert len(phis) == len(report.queries) == driver.max_queries
+        blocks = [[label_coord(j) for j in range(d)]]
+        blocks += [[signsum_coord(w, j) for j in range(d)]
+                   for w in iterates[:-1]]
+        assert d * len(blocks) == len(report.queries) == driver.max_queries
         assert np.any(iterates[1] != 0.0)
-        for i, (phi, q) in enumerate(zip(phis, report.queries)):
-            rows = np.arange(i * batch, (i + 1) * batch)
-            expected = comm_estimate_mean(
-                S, rows, phi, derive_seed(seed, "comm-query", i))
-            assert q["answer"] == expected, i
+        X, y = src.dist.matrix, src.labels
+        for k, phis in enumerate(blocks):
+            block = np.column_stack([phi(X, y) for phi in phis])
+            expected = ONE_BIT.stream_estimates(
+                src.dist.probs, block, batch,
+                derive_seed(seed, "comm-query", k * d))
+            answers = [q["answer"] for q in report.queries[k * d:(k + 1) * d]]
+            assert answers == expected.tolist(), k
+        assert report.samples_used == len(blocks) * d * batch
 
     def test_each_client_spends_one_bit(self):
         src = two_point_source()

@@ -1,4 +1,4 @@
-"""Tests for domain types, exact error/margin computation, and sampling.
+"""Tests for domain types, exact error/margin computation, and sample streams.
 
 Reference values are computed by plain-Python enumeration oracles in this
 file, hand arithmetic frozen as literals, or direct invariant assertions.
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localsq.core import (
-    Dataset,
     DecisionList,
     Explicit,
     FiniteDistribution,
@@ -19,17 +18,11 @@ from localsq.core import (
     Point,
     SampleStream,
     classification_error,
-    dataset_from_csv,
-    dataset_to_csv,
     embed_hypercube,
-    exact_margin,
     make_margin_source,
     negate,
     random_decision_list,
-    sample,
     signp,
-    source_from_json,
-    source_to_json,
     uniform_hypercube_source,
 )
 from localsq.errors import EvaluationError, PreconditionError
@@ -72,6 +65,18 @@ class TestPoint:
         with pytest.raises(ValueError):
             p.coords[0] = 5.0
 
+    def test_signed_zeros_hash_alike(self):
+        a = Point(np.array([0.0, 0.5]))
+        b = Point(np.array([-0.0, 0.5]))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert not np.signbit(b.coords).any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_refused(self, bad):
+        with pytest.raises(PreconditionError, match="must be finite"):
+            Point(np.array([bad, 0.5]))
+
 
 class TestFiniteDistribution:
     def test_probs_must_sum_to_one(self):
@@ -83,6 +88,17 @@ class TestFiniteDistribution:
         pts = [Point(np.array([1.0])), Point(np.array([1.0]))]
         with pytest.raises(PreconditionError):
             FiniteDistribution(pts, [0.5, 0.5])
+
+    def test_signed_zero_duplicate_rejected(self):
+        pts = [Point(np.array([0.0, 0.5])), Point(np.array([-0.0, 0.5]))]
+        with pytest.raises(PreconditionError, match="distinct"):
+            FiniteDistribution(pts, [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_refused(self, bad):
+        pts = [Point(np.array([1.0])), Point(np.array([-1.0]))]
+        with pytest.raises(PreconditionError, match="must be finite"):
+            FiniteDistribution(pts, [bad, 0.5])
 
     def test_negative_prob_rejected(self):
         pts = [Point(np.array([1.0])), Point(np.array([-1.0]))]
@@ -140,22 +156,39 @@ class TestClassificationError:
             )
 
 
+class TestExplicit:
+    def test_signed_zero_looked_up_like_zero(self):
+        f = Explicit({Point(np.array([0.0, 0.5])): -1})
+        X = np.array([[-0.0, 0.5], [0.0, 0.5]])
+        assert f.labels_for(X).tolist() == [-1.0, -1.0]
+        assert f(Point(np.array([-0.0, 0.5]))) == -1
+
+    def test_to_json_refused_with_a_typed_error(self):
+        with pytest.raises(PreconditionError, match="support"):
+            two_point_source().target.to_json()
+
+
 class TestExactMargin:
+    # A source checks its threshold's declared margin, min over the
+    # support of f(x) <w, x>, when it is assembled.
     def test_single_point_positive(self):
+        # <w, e1> = 1 meets gamma = 1 exactly, which is allowed.
         e1 = Point(np.array([1.0, 0.0]))
         dist = FiniteDistribution([e1], [1.0])
-        src = LabeledSource(dist, Explicit.from_support([e1], (1,)))
-        assert exact_margin(np.array([1.0, 0.0]), src) == 1.0
+        src = LabeledSource(dist, LinearThreshold(np.array([1.0, 0.0]), 1.0))
+        assert src.labels.tolist() == [1.0]
 
     def test_single_point_negative_label(self):
+        # f(e1) = -1 and <w, e1> = -1, so the margin is +1, not -1.
         e1 = Point(np.array([1.0, 0.0]))
         dist = FiniteDistribution([e1], [1.0])
-        src = LabeledSource(dist, Explicit.from_support([e1], (-1,)))
-        assert exact_margin(np.array([1.0, 0.0]), src) == -1.0
+        src = LabeledSource(dist, LinearThreshold(np.array([-1.0, 0.0]), 1.0))
+        assert src.labels.tolist() == [-1.0]
 
     def test_declared_margin_holds_for_own_weights(self):
         src = make_margin_source(6, 0.25, 20, seed=3)
-        assert exact_margin(src.target.w, src) >= 0.25
+        margins = src.labels * (src.dist.matrix @ src.target.w)
+        assert margins.min() >= 0.25
 
     def test_margin_violation_rejected_at_source_build(self):
         e1 = Point(np.array([0.05, 0.0]))
@@ -163,39 +196,45 @@ class TestExactMargin:
         with pytest.raises(PreconditionError):
             LabeledSource(dist, LinearThreshold(np.array([1.0, 0.0]), 0.5))
 
-    def test_oversized_w_rejected(self):
-        src = two_point_source()
-        with pytest.raises(PreconditionError):
-            exact_margin(np.array([2.0, 0.0]), src)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_refused(self, bad):
+        with pytest.raises(PreconditionError, match="must be finite"):
+            LinearThreshold(np.array([bad, 0.0]), 0.5)
 
 
 class TestSample:
+    # A stream span's rows, as `batch` realizes them: the per-row reference
+    # the estimator tests compare against.
     def test_point_mass_gives_copies(self):
         e1 = Point(np.array([0.3, 0.4]))
         dist = FiniteDistribution([e1], [1.0])
         src = LabeledSource(dist, Explicit.from_support([e1], (1,)))
-        ds = sample(src, 7, seed=11)
-        assert len(ds) == 7
-        assert np.all(ds.X == e1.coords)
-        assert np.all(ds.y == 1.0)
+        X, y = SampleStream(src, 7, seed=11).batch(0, 7)
+        assert X.shape == (7, 2)
+        assert np.all(X == e1.coords)
+        assert np.all(y == 1.0)
 
     def test_same_seed_identical(self):
+        # A span's rows depend on (source, seed, start), not on the length.
         src = two_point_source()
-        a = sample(src, 50, seed=42)
-        b = sample(src, 50, seed=42)
-        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+        Xa, ya = SampleStream(src, 50, seed=42).batch(0, 50)
+        Xb, yb = SampleStream(src, 80, seed=42).batch(0, 50)
+        assert np.array_equal(Xa, Xb) and np.array_equal(ya, yb)
 
     def test_uniform_two_point_frequencies(self):
         # Binomial(1e4, 1/2) deviates from 5000 by >500 with prob < 2e-23.
         src = two_point_source()
-        ds = sample(src, 10_000, seed=7)
-        freq = float(np.mean(ds.X[:, 0] == 1.0))
+        X, _ = SampleStream(src, 10_000, seed=7).batch(0, 10_000)
+        freq = float(np.mean(X[:, 0] == 1.0))
         assert abs(freq - 0.5) < 0.05
 
     def test_labels_consistent_with_target(self):
+        # Every row is a support point and carries that point's label.
         src = make_margin_source(5, 0.2, 12, seed=9)
-        ds = sample(src, 200, seed=1)
-        assert np.array_equal(ds.y, src.target.labels_for(ds.X))
+        X, y = SampleStream(src, 200, seed=1).batch(0, 200)
+        hits = np.all(X[:, None, :] == src.dist.matrix[None, :, :], axis=2)
+        assert np.all(hits.sum(axis=1) == 1)
+        assert np.array_equal(y, src.labels[hits.argmax(axis=1)])
 
 
 class TestSampleStream:
@@ -328,7 +367,8 @@ class TestSourceBuilders:
     def test_margin_source_respects_declared_margin(self):
         for seed in range(4):
             src = make_margin_source(10, 0.3, 25, seed=seed)
-            assert exact_margin(src.target.w, src) >= 0.3 - 1e-12
+            margins = src.labels * (src.dist.matrix @ src.target.w)
+            assert margins.min() >= 0.3 - 1e-12
 
     def test_margin_source_support_in_ball(self):
         src = make_margin_source(8, 0.15, 30, seed=1)
@@ -347,36 +387,3 @@ class TestSourceBuilders:
         src = uniform_hypercube_source(4, dl)
         fire_mass = float(np.sum(src.dist.probs * (src.labels == 1.0)))
         assert fire_mass == pytest.approx(0.5)
-
-
-class TestSerialization:
-    def test_source_roundtrip_linear(self):
-        src = make_margin_source(4, 0.2, 6, seed=10)
-        back = source_from_json(source_to_json(src))
-        assert np.array_equal(back.dist.matrix, src.dist.matrix)
-        assert np.array_equal(back.labels, src.labels)
-        assert isinstance(back.target, LinearThreshold)
-
-    def test_source_roundtrip_explicit(self):
-        src = two_point_source(labels=(-1, 1))
-        back = source_from_json(source_to_json(src))
-        assert np.array_equal(back.labels, src.labels)
-
-    def test_source_roundtrip_decision_list(self):
-        dl = DecisionList([(1, 0, 1), (0, 1, -1)], default=1)
-        src = uniform_hypercube_source(2, dl)
-        back = source_from_json(source_to_json(src))
-        assert isinstance(back.target, DecisionList)
-        assert back.target.items == dl.items
-
-    def test_dataset_csv_roundtrip(self):
-        src = make_margin_source(3, 0.2, 5, seed=2)
-        ds = sample(src, 20, seed=4)
-        back = dataset_from_csv(dataset_to_csv(ds))
-        assert np.array_equal(back.X, ds.X)
-        assert np.array_equal(back.y, ds.y)
-
-    def test_csv_header_shape(self):
-        ds = Dataset(np.array([[0.1, 0.2]]), np.array([1.0]), seed=0)
-        text = dataset_to_csv(ds)
-        assert text.splitlines()[0] == "x_1,x_2,label"

@@ -17,14 +17,12 @@ from hypothesis import strategies as st
 from localsq._rng import generator
 from localsq.comm import ONE_BIT
 from localsq.core import (
-    Dataset,
     Explicit,
     FiniteDistribution,
     LabeledSource,
     Point,
     SampleStream,
     make_margin_source,
-    sample,
 )
 from localsq.errors import (
     BudgetExceeded,
@@ -313,16 +311,16 @@ class TestLdpEstimateMean:
     def test_huge_epsilon_constant_one(self):
         # c -> 1 and every message is +1, so the clamped estimate is exactly 1.
         src = two_point_source()
-        S = sample(src, 50, seed=3)
+        S = SampleStream(src, 50, seed=3)
         est = ldp_estimate_mean(
-            S, np.arange(50), lambda X, y: np.ones(len(X)), epsilon=50.0, seed=5
+            S, range(0, 50), lambda X, y: np.ones(len(X)), epsilon=50.0, seed=5
         )
         assert est == 1.0
 
     def test_deterministic_per_seed(self):
         src = two_point_source()
-        S = sample(src, 200, seed=3)
-        args = (S, np.arange(200), first_coord)
+        S = SampleStream(src, 200, seed=3)
+        args = (S, range(0, 200), first_coord)
         assert ldp_estimate_mean(*args, epsilon=1.0, seed=9) == ldp_estimate_mean(
             *args, epsilon=1.0, seed=9
         )
@@ -360,63 +358,68 @@ class TestLdpEstimateMean:
         assert good / 200 >= 1 - delta
 
     def test_grouped_and_rowwise_paths_agree_in_distribution(self):
-        # Same stream consumed as grouped counts vs materialized rows:
-        # estimator means must agree within Monte Carlo error.
+        # The stream's one binomial count against a per-row reference: the
+        # span's rows realized by `batch`, each client sending +1 with
+        # probability p_plus of its own value. Estimator means must agree
+        # within Monte Carlo error.
         src = two_point_source(a=0.8, b=-0.4, pa=0.3)
         stream = SampleStream(src, 400, seed=17)
         X, y = stream.batch(0, 400)
-        from localsq.core import Dataset
+        channel = ldp_channel(1.0)
 
-        S = Dataset(X, y, seed=0)
+        def per_row(seed):
+            plus = generator(seed).random(400) < channel.p_plus(first_coord(X, y))
+            return float(np.clip((2.0 * plus.sum() - 400) / (channel.c * 400),
+                                 -1.0, 1.0))
+
         grouped, rowwise = [], []
         for trial in range(300):
             grouped.append(
                 ldp_estimate_mean(stream, range(0, 400), first_coord, 1.0, seed=trial)
             )
-            rowwise.append(
-                ldp_estimate_mean(
-                    S, np.arange(400), first_coord, 1.0, seed=10_000 + trial
-                )
-            )
+            rowwise.append(per_row(10_000 + trial))
         # sd of a single estimate is about 1/(c sqrt(400)) ~ 0.108; means
         # over 300 trials differ by > 4 * 0.108 / sqrt(300) ~ 0.025 rarely.
         assert abs(np.mean(grouped) - np.mean(rowwise)) < 0.03
 
     def test_tuples_list_indices_and_ranges_are_spans(self):
+        # A span is a range with step 1; phi sees the support rows once.
         src = two_point_source()
-        S = sample(src, 10, seed=2)
+        S = SampleStream(src, 10, seed=2)
         rows = []
 
         def phi(X, y):
             rows.append(np.array(X))
             return np.zeros(len(X))
 
-        ldp_estimate_mean(S, (3, 7), phi, 1.0, seed=0)
         ldp_estimate_mean(S, range(3, 7), phi, 1.0, seed=0)
-        assert np.array_equal(rows[0], S.X[[3, 7]])
-        assert np.array_equal(rows[1], S.X[3:7])
-        with pytest.raises(PreconditionError):
-            ldp_estimate_mean(SampleStream(src, 10, seed=1), (3, 7), phi,
-                              1.0, seed=0)
+        assert len(rows) == 1
+        assert np.array_equal(rows[0], src.dist.matrix)
+        for indices in ((3, 7), [3, 4, 5, 6], range(3, 7, 2)):
+            with pytest.raises(PreconditionError):
+                ldp_estimate_mean(S, indices, phi, 1.0, seed=0)
+        assert len(rows) == 1
 
     def test_empty_batch_rejected(self):
         src = two_point_source()
-        S = sample(src, 5, seed=1)
+        S = SampleStream(src, 5, seed=1)
         with pytest.raises(PreconditionError):
-            ldp_estimate_mean(S, np.array([], dtype=int), first_coord, 1.0, 0)
+            ldp_estimate_mean(S, range(3, 3), first_coord, 1.0, 0)
 
     def test_range_violation_rejected(self):
         src = two_point_source()
-        S = sample(src, 5, seed=1)
+        S = SampleStream(src, 5, seed=1)
         with pytest.raises(ContractViolation):
             ldp_estimate_mean(
-                S, np.arange(5), lambda X, y: 2.0 * np.ones(len(X)), 1.0, 0
+                S, range(0, 5), lambda X, y: 2.0 * np.ones(len(X)), 1.0, 0
             )
 
 
 class TestCompileToLdp:
-    @pytest.mark.parametrize("materialized", [False, True])
-    def test_block_compiles_like_its_scalar_queries(self, materialized):
+    # on_source: compile on the LabeledSource itself, which is read as a
+    # stream of exactly t batches, instead of on an explicit SampleStream.
+    @pytest.mark.parametrize("on_source", [False, True])
+    def test_block_compiles_like_its_scalar_queries(self, on_source):
         src = make_margin_source(3, 0.3, 10, seed=5)
         block = StatQuery(fn=lambda X, y: y[:, None] * X, tau=0.3,
                           label_dependent=True, width=3)
@@ -424,33 +427,29 @@ class TestCompileToLdp:
                              label_dependent=True) for j in range(3)]
         n = 3 * ldp_batch_size(3, 0.3, 0.2, 1.0)
         stream = SampleStream(src, n, seed=31)
-        S = Dataset(*stream.batch(0, n), seed=0) if materialized else stream
+        S = src if on_source else stream
         runs = []
         for queries in ([block], scalars):
             driver = NonInteractiveDriver(queries)
             driver.max_queries = 3
             runs.append(compile_sq_to_ldp(driver, S, 1.0, 0.3, 0.2, seed=4))
         (a, a_report), (b, b_report) = runs
-        if materialized:
-            assert a == b
-            assert a_report.to_json() == b_report.to_json()
-        else:
-            # On a stream the block draws its three counts from one seed,
-            # its first coordinate's, so only answer 0 is the scalar run's
-            # draw; the block's law is TestStreamLaw's. Everything else
-            # (rounds, n, tau, flags) stays exact.
-            a_json, b_json = a_report.to_json(), b_report.to_json()
-            for record in a_json["queries"][1:] + b_json["queries"][1:]:
-                del record["answer"]
-            assert a[0] == b[0]
-            assert a_json == b_json
-            assert a_report.samples_used == b_report.samples_used == n
+        # The block draws its three counts from one seed, its first
+        # coordinate's, so only answer 0 is the scalar run's draw; the
+        # block's law is TestStreamLaw's. Everything else (rounds, n, tau,
+        # flags) stays exact.
+        a_json, b_json = a_report.to_json(), b_report.to_json()
+        for record in a_json["queries"][1:] + b_json["queries"][1:]:
+            del record["answer"]
+        assert a[0] == b[0]
+        assert a_json == b_json
+        assert a_report.samples_used == b_report.samples_used == n
         assert (a_report.ledger.per_index_spent
                 == b_report.ledger.per_index_spent)
 
-    @pytest.mark.parametrize("materialized", [False, True])
+    @pytest.mark.parametrize("on_source", [False, True])
     def test_out_of_range_block_refused_before_any_charge(
-            self, materialized, monkeypatch):
+            self, on_source, monkeypatch):
         # Only the last column leaves [-1, 1]: the whole block is refused
         # before the ledger is charged or the transcript gains an entry.
         src = make_margin_source(3, 0.3, 10, seed=5)
@@ -459,7 +458,7 @@ class TestCompileToLdp:
             tau=0.3, label_dependent=True, width=3)
         n = 3 * ldp_batch_size(3, 0.3, 0.2, 1.0)
         stream = SampleStream(src, n, seed=31)
-        S = Dataset(*stream.batch(0, n), seed=0) if materialized else stream
+        S = src if on_source else stream
         calls = []
         monkeypatch.setattr(PrivacyLedger, "charge_span",
                             lambda *a: calls.append("charge"))
