@@ -188,6 +188,6 @@ def adaptivity_profile(t: InteractivityTranscript) -> dict:
     return {
         "rounds": t.rounds_used(),
         "label_dependent_rounds": sorted(
-            {e.round for e in t.entries if e.label_dependent}
+            {b.round for b in t.blocks if b.label_dependent}
         ),
     }

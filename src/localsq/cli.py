@@ -142,9 +142,7 @@ class ExperimentConfig:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):  # bool too: True is written 1
         return str(int(v))
     if isinstance(v, float):
         return repr(float(v))

@@ -31,6 +31,21 @@ def signp(a: np.ndarray | float) -> np.ndarray:
     return np.where(np.asarray(a, dtype=float) >= 0.0, 1.0, -1.0)
 
 
+def _in_unit_ball(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr, or arr rescaled onto the unit sphere (with a warning) if |arr| > 1."""
+    norm = float(np.linalg.norm(arr))
+    # Only a non-finite coordinate, or overflow, makes the norm non-finite.
+    if not math.isfinite(norm) and not np.isfinite(arr).all():
+        raise PreconditionError(f"{what} must be finite")
+    if norm > 1.0 + BALL_TOL:
+        logger.warning("%s norm %.6g > 1; rescaling", what, norm)
+        if math.isinf(norm):  # overflow: divide by the largest magnitude first
+            arr = arr / np.abs(arr).max()
+            norm = float(np.linalg.norm(arr))
+        arr = arr / norm + 0.0
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Point:
     """A point in the Euclidean unit ball.
@@ -46,13 +61,7 @@ class Point:
     def __post_init__(self):
         # A fresh float copy; -0.0 + 0.0 is 0.0 and every other value stays.
         arr = np.add(self.coords, 0.0, dtype=float).reshape(-1)
-        norm = float(np.linalg.norm(arr))
-        # Only a non-finite coordinate, or overflow, makes the norm non-finite.
-        if not math.isfinite(norm) and not np.isfinite(arr).all():
-            raise PreconditionError("point coordinates must be finite")
-        if norm > 1.0 + BALL_TOL:
-            logger.warning("point norm %.6g > 1; rescaling onto the unit sphere", norm)
-            arr = arr / norm + 0.0
+        arr = _in_unit_ball(arr, "point coordinates")
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 
@@ -150,13 +159,8 @@ class LinearThreshold(TargetFunction):
     """
 
     def __init__(self, w: np.ndarray, gamma: float):
-        w = np.array(w, dtype=float).reshape(-1)
-        if not np.isfinite(w).all():
-            raise PreconditionError("threshold weights must be finite")
-        norm = float(np.linalg.norm(w))
-        if norm > 1.0 + BALL_TOL:
-            logger.warning("threshold weights norm %.6g > 1; rescaling", norm)
-            w = w / norm
+        w = _in_unit_ball(np.array(w, dtype=float).reshape(-1),
+                          "threshold weights")
         if not 0.0 < gamma <= 1.0:
             raise PreconditionError("gamma must lie in (0, 1]")
         w.setflags(write=False)

@@ -25,7 +25,7 @@ import numpy as np
 from ._rng import derive_seed, generator
 from .core import LabeledSource, SampleStream
 from .errors import BudgetExceeded, PreconditionError, SizingError
-from .sq import InteractivityTranscript, StatQuery, TranscriptEntry, \
+from .sq import InteractivityTranscript, StatQuery, \
     checked_values, evaluate_block, run_driver
 
 CHARGE_TOL = 1e-12
@@ -263,8 +263,8 @@ class PrivacyLedger:
 class ProtocolReport:
     """Round structure, sample usage, and the transcript of a compiled run.
 
-    The transcript is the same record the SQ oracles keep: one entry per
-    answered coordinate, tagged with its round and label flag.
+    The transcript is the same record the SQ oracles keep: one record per
+    answered block, tagged with its round and label flag.
     """
 
     samples_used: int
@@ -337,9 +337,7 @@ def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
         answers = channel.stream_estimates(
             source.dist.probs, block, batch,
             derive_seed(seed, channel.seed_label, first)).tolist()
-        for est in answers:
-            report.transcript.append(
-                TranscriptEntry(round_index, q.label_dependent, tau, est))
+        report.transcript.append(round_index, q.label_dependent, tau, answers)
         report.samples_used = stop
         return answers
 

@@ -432,7 +432,8 @@ def _run_once(driver, oracle):
         return oracle.ask(q, 0)
 
     run_driver(driver, ask)
-    return tuple(e.answer for e in oracle.transcript.entries), driver.result()
+    answers = tuple(a for b in oracle.transcript.blocks for a in b.answers)
+    return answers, driver.result()
 
 
 def negation_fooling_demo(driver_factory, targets, X, m: int,

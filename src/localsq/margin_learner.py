@@ -473,7 +473,7 @@ def learn_halfspace(
         per_coord_tol=driver.per_coord_tol,
         queries_total=len(transcript),
         queries_label_dependent=sum(
-            e.label_dependent for e in transcript.entries),
+            len(b.answers) for b in transcript.blocks if b.label_dependent),
         rounds=transcript.rounds_used(),
         label_non_adaptive=assert_label_non_adaptive(transcript),
     )

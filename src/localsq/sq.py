@@ -5,9 +5,10 @@ answers with something close to its mean under the source. A query may also
 be a block of k coordinate queries sharing one tolerance, such as the d
 coordinates of a gradient, which is one mean vector: its fn returns an
 (n, k) array, column j being coordinate j, and is evaluated once per batch
-for all k coordinates. Everything downstream still counts coordinates:
-an oracle answers a block with k answers, a driver is fed one answer per
-coordinate, and a transcript holds one entry per coordinate. Three oracles
+for all k coordinates. Budgets still count coordinates: an oracle answers
+a block with k answers and a driver is fed one answer per coordinate. A
+transcript holds one record per answered block, and only this module knows
+its format; readers that count coordinates expand it. Three oracles
 live here: the exact oracle (answers with the true mean), a perturbing
 oracle exercising worst-case-but-valid answer policies, and an adversarial
 oracle that hides the labels of weakly-correlated queries. A transcript
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,17 +96,15 @@ class QueryDecomposition:
 def decompose(q: StatQuery) -> QueryDecomposition:
     """g(x) = (fn(x,+1) + fn(x,-1)) / 2, h(x) = (fn(x,+1) - fn(x,-1)) / 2."""
 
-    def g(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        ones = np.ones(X.shape[0])
-        return (np.asarray(q.fn(X, ones)) + np.asarray(q.fn(X, -ones))) / 2.0
+    def part(sign: float):
+        def fn(X: np.ndarray) -> np.ndarray:
+            X = np.asarray(X, dtype=float)
+            ones = np.ones(X.shape[0])
+            return (np.asarray(q.fn(X, ones))
+                    + sign * np.asarray(q.fn(X, -ones))) / 2.0
+        return fn
 
-    def h(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        ones = np.ones(X.shape[0])
-        return (np.asarray(q.fn(X, ones)) - np.asarray(q.fn(X, -ones))) / 2.0
-
-    return QueryDecomposition(g=g, h=h)
+    return QueryDecomposition(g=part(1.0), h=part(-1.0))
 
 
 @dataclass(frozen=True)
@@ -129,26 +128,52 @@ class TranscriptEntry:
         return obj
 
 
+class TranscriptBlock(NamedTuple):
+    """One answered ask: its answers share round, label flag, tau and scale."""
+
+    round: int
+    label_dependent: bool
+    tolerance: float
+    answers: tuple[float, ...]
+    scale: float
+
+
 class InteractivityTranscript:
-    """Ordered record of answered queries; rounds must be nondecreasing."""
+    """Ordered record of answered blocks; rounds must be nondecreasing."""
 
     def __init__(self):
-        self.entries: list[TranscriptEntry] = []
+        self.blocks: list[TranscriptBlock] = []
+        self._count = 0
 
-    def append(self, entry: TranscriptEntry):
-        if entry.round < 0:
+    def append(self, round_index: int, label_dependent: bool, tau: float,
+               answers, scale: float = 1.0):
+        """Record one answered block, or refuse it and leave the record as is."""
+        round_index = int(round_index)
+        if round_index < 0:
             raise ProtocolError("round indices must be >= 0")
-        if self.entries and entry.round < self.entries[-1].round:
+        if self.blocks and round_index < self.blocks[-1].round:
             raise ProtocolError(
-                f"round {entry.round} issued after round {self.entries[-1].round}"
+                f"round {round_index} issued after round {self.blocks[-1].round}"
             )
-        self.entries.append(entry)
+        answers = tuple(np.asarray(answers, dtype=float).ravel().tolist())
+        if not answers:
+            raise ProtocolError("a block records at least one answer")
+        self.blocks.append(TranscriptBlock(
+            round_index, label_dependent, tau, answers, scale))
+        self._count += len(answers)
+
+    @property
+    def entries(self) -> list[TranscriptEntry]:
+        """A fresh list of one entry per answered coordinate, in order."""
+        return [TranscriptEntry(b.round, b.label_dependent, b.tolerance, a,
+                                b.scale)
+                for b in self.blocks for a in b.answers]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._count
 
     def rounds_used(self) -> int:
-        return 0 if not self.entries else self.entries[-1].round + 1
+        return 0 if not self.blocks else self.blocks[-1].round + 1
 
     def records(self) -> list[dict]:
         return [e.to_json() for e in self.entries]
@@ -159,8 +184,8 @@ class InteractivityTranscript:
 
 
 def assert_label_non_adaptive(t: InteractivityTranscript) -> bool:
-    """True iff every label-dependent entry was issued in round 0."""
-    return all(e.round == 0 for e in t.entries if e.label_dependent)
+    """True iff every label-dependent block was issued in round 0."""
+    return all(b.round == 0 for b in t.blocks if b.label_dependent)
 
 
 def _evaluate_on_support(q: StatQuery, src: LabeledSource):
@@ -202,21 +227,10 @@ class _TranscriptingOracle:
         self.transcript = InteractivityTranscript()
 
     def ask(self, q: StatQuery, round_index: int):
-        """Answer q: a float for a scalar query, a (width,) array for a block.
-
-        Every coordinate is recorded as its own transcript entry.
-        """
+        """Answer q, recorded as one block: a float, or a (width,) array."""
         answers = self._answer(q)
-        for answer in answers:
-            self.transcript.append(
-                TranscriptEntry(
-                    round=int(round_index),
-                    label_dependent=q.label_dependent,
-                    tolerance=q.tau,
-                    answer=float(answer),
-                    scale=q.scale,
-                )
-            )
+        self.transcript.append(round_index, q.label_dependent, q.tau, answers,
+                               q.scale)
         return float(answers[0]) if q.width == 1 else answers
 
     def _answer(self, q: StatQuery) -> np.ndarray:
@@ -293,22 +307,20 @@ class AdversarialOracle(_TranscriptingOracle):
     answer is within 1/m of the exact mean, so the oracle is a valid
     tolerance-1/m responder while revealing nothing about weakly-correlated
     directions. Negating the target changes no below-threshold answer. A
-    block is answered coordinate by coordinate, and each coordinate counts
-    against the budget m.
+    block is answered coordinate by coordinate, and each answered coordinate
+    counts against the budget m; a refused query spends none of it.
     """
 
     def __init__(self, cfg: AdversarialOracleConfig):
         super().__init__()
         self.cfg = cfg
-        self.queries_asked = 0
         self.branches: list[str] = []
 
     def _answer(self, q: StatQuery) -> np.ndarray:
-        if self.queries_asked + q.width > self.cfg.m:
+        if len(self.transcript) + q.width > self.cfg.m:
             raise BudgetExceeded(
                 f"adversarial oracle budget of {self.cfg.m} queries exhausted"
             )
-        self.queries_asked += q.width
         src = self.cfg.src
         plus, minus, realized = _evaluate_on_support(q, src)
         h_vals = (plus - minus) / 2.0
@@ -321,31 +333,17 @@ class AdversarialOracle(_TranscriptingOracle):
         return np.where(concede, exact, label_blind)
 
 
-class QueryDriver(Protocol):
-    """Adaptive query protocol: rounds of queries fed by batched answers.
-
-    max_queries bounds the total number of queries across all rounds,
-    counting each coordinate of a block, and must be declared up front so
-    simulators can size their sample budgets. feed receives one answer per
-    coordinate, in query order.
-    """
-
-    max_queries: int
-
-    def begin(self) -> Sequence[StatQuery]: ...
-
-    def feed(self, answers: Sequence[float]) -> Sequence[StatQuery] | None: ...
-
-    def result(self) -> object: ...
-
-
 AskFn = Callable[[StatQuery, int], "float | np.ndarray"]
 
 
 def run_driver(driver, ask: AskFn) -> int:
     """Run a driver to completion against an answer function; returns rounds.
 
-    The driver is fed one flat answer per coordinate, blocks unpacked.
+    A driver has max_queries, begin(), feed(answers) and result(). begin and
+    feed return the next round's queries; none ends the run. max_queries
+    bounds the queries of all rounds, counting each coordinate of a block,
+    and is declared up front so that simulators can size their sample
+    budgets. feed gets one flat answer per coordinate, in query order.
     """
     queries = list(driver.begin())
     round_index = 0

@@ -77,6 +77,14 @@ class TestPoint:
         with pytest.raises(PreconditionError, match="must be finite"):
             Point(np.array([bad, 0.5]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, -1)])
+    def test_overflowing_norm_keeps_the_direction(self, signs):
+        # |x|^2 overflows to inf although every coordinate is finite.
+        p = Point(np.array([signs[0] * 1e200, signs[1] * 1e200]))
+        expected = np.array(signs) * np.sqrt(0.5)
+        assert np.all(np.abs(p.coords - expected) <= np.spacing(np.sqrt(0.5)))
+
 
 class TestFiniteDistribution:
     def test_probs_must_sum_to_one(self):
@@ -200,6 +208,12 @@ class TestExactMargin:
     def test_non_finite_weights_refused(self, bad):
         with pytest.raises(PreconditionError, match="must be finite"):
             LinearThreshold(np.array([bad, 0.0]), 0.5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_weights_keep_the_direction(self):
+        f = LinearThreshold(np.array([1e200, -1e200]), 0.5)
+        expected = np.array([1.0, -1.0]) * np.sqrt(0.5)
+        assert np.all(np.abs(f.w - expected) <= np.spacing(np.sqrt(0.5)))
 
 
 class TestSample:

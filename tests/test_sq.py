@@ -260,6 +260,20 @@ class TestAdversarialOracle:
         with pytest.raises(BudgetExceeded):
             oracle.ask(q, 0)
 
+    def test_refused_query_spends_no_budget(self):
+        src = point_source([[1.0], [-1.0]], (1, -1))
+        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=1))
+        out_of_range = StatQuery(fn=lambda X, y: 2.0 * X[:, 0], tau=0.5,
+                                 label_dependent=False)
+        with pytest.raises(ContractViolation):
+            oracle.ask(out_of_range, 0)
+        assert len(oracle.transcript) == 0
+        q = StatQuery(fn=lambda X, y: X[:, 0], tau=0.5, label_dependent=False)
+        assert oracle.ask(q, 0) == 0.0
+        assert len(oracle.transcript) == 1
+        with pytest.raises(BudgetExceeded):
+            oracle.ask(q, 0)
+
     @given(st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
     def test_every_answer_within_threshold_of_exact(self, seed):
@@ -304,28 +318,83 @@ class TestTranscript:
 
     def test_label_dependent_after_round_zero_flagged(self):
         t = InteractivityTranscript()
-        t.append(TranscriptEntry(0, False, 0.1, 0.0))
-        t.append(TranscriptEntry(2, True, 0.1, 0.5))
+        t.append(0, False, 0.1, [0.0])
+        t.append(2, True, 0.1, [0.5])
         assert not assert_label_non_adaptive(t)
 
     def test_round_zero_label_dependent_allowed(self):
         t = InteractivityTranscript()
-        t.append(TranscriptEntry(0, True, 0.1, 0.5))
-        t.append(TranscriptEntry(1, False, 0.1, 0.0))
+        t.append(0, True, 0.1, [0.5])
+        t.append(1, False, 0.1, [0.0])
         assert assert_label_non_adaptive(t)
 
     def test_decreasing_rounds_rejected(self):
         t = InteractivityTranscript()
-        t.append(TranscriptEntry(1, False, 0.1, 0.0))
+        t.append(1, False, 0.1, [0.0])
         with pytest.raises(ProtocolError):
-            t.append(TranscriptEntry(0, False, 0.1, 0.0))
+            t.append(0, False, 0.1, [0.0])
 
     def test_jsonl_keys(self):
         import json as json_mod
         t = InteractivityTranscript()
-        t.append(TranscriptEntry(0, True, 0.1, 0.5))
+        t.append(0, True, 0.1, [0.5])
         obj = json_mod.loads(t.to_jsonl().splitlines()[0])
         assert set(obj) == {"round", "label_dep", "tau", "answer"}
+
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.integers(0, 2), st.booleans(),
+                st.sampled_from([0.05, 0.1]), st.sampled_from([1.0, -6.0]),
+                st.lists(st.floats(-1, 1), min_size=1, max_size=5),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_block_append_equals_its_width_one_appends(self, blocks):
+        blocked, scalar = InteractivityTranscript(), InteractivityTranscript()
+        rnd = 0
+        for step, dep, tau, scale, answers in blocks:
+            rnd += step
+            blocked.append(rnd, dep, tau, np.array(answers), scale)
+            for a in answers:
+                scalar.append(rnd, dep, tau, [a], scale)
+        assert blocked.to_jsonl() == scalar.to_jsonl()
+        assert len(blocked) == len(scalar) == sum(len(b[4]) for b in blocks)
+        assert blocked.rounds_used() == scalar.rounds_used()
+        assert blocked.entries == scalar.entries
+
+    def test_block_expands_to_entries_in_order(self):
+        t = InteractivityTranscript()
+        t.append(0, True, 0.1, np.array([0.25, -0.5]), -6.0)
+        t.append(1, False, 0.2, [0.75])
+        assert t.entries == [
+            TranscriptEntry(0, True, 0.1, 0.25, -6.0),
+            TranscriptEntry(0, True, 0.1, -0.5, -6.0),
+            TranscriptEntry(1, False, 0.2, 0.75),
+        ]
+        assert len(t) == 3 and t.rounds_used() == 2
+
+    def test_refused_append_leaves_the_record_unchanged(self):
+        t = InteractivityTranscript()
+        t.append(2, True, 0.1, [0.5, 0.25])
+        before = (len(t), t.to_jsonl(), t.rounds_used())
+        with pytest.raises(ProtocolError):
+            t.append(1, False, 0.1, [0.0, 0.0, 0.0])
+        with pytest.raises(ProtocolError):
+            t.append(-1, False, 0.1, [0.0])
+        with pytest.raises(ProtocolError):
+            t.append(3, False, 0.1, [])
+        assert (len(t), t.to_jsonl(), t.rounds_used()) == before
+
+    def test_entries_are_a_read_only_expansion(self):
+        t = InteractivityTranscript()
+        answers = np.array([0.25, 0.5])
+        t.append(0, True, 0.1, answers)
+        answers[0] = 0.75
+        t.entries.clear()
+        assert [e.answer for e in t.entries] == [0.25, 0.5]
 
 
 class FixedDriver:
@@ -390,7 +459,6 @@ class TestBlockQueries:
         src = make_margin_source(3, 0.3, 10, seed=6)
         oracle = AdversarialOracle(AdversarialOracleConfig(src, m=5))
         oracle.ask(label_block(3), 0)
-        assert oracle.queries_asked == 3
         assert len(oracle.branches) == len(oracle.transcript) == 3
         with pytest.raises(BudgetExceeded):
             oracle.ask(label_block(3), 0)
