@@ -622,7 +622,7 @@ GOLDEN_DIGESTS = {
         "separation.csv": "dced02a00fb9b20f206017677d94c1da80785af085437b31c298eebe17d1a9c4",
         "separation.json": "479b4eb018cf3a1f9f22e19862affd6fc91ac9d74a29ad1c735e8152f5f8928d",
     }),
-    # The two commands that write an LP certificate.
+    # The runs that write an LP certificate.
     "adversary-demo": (["adversary-demo", "--seed", "0"], {
         "adversary_report.json": "c6cbc657c5f17633105ba3822a0389548e15021f9810be9c4b772d1a8a7c2e0a",
         "certificate.json": "d727706bbabebf80bf1e696e2efc88be85a293b1fdbe46e792f4d225adb5c084",
@@ -631,6 +631,11 @@ GOLDEN_DIGESTS = {
                            "--m", "3", "--seed", "0"], {
         "adversary_report.json": "74b9004e898d7ce893ed63b1223dd21453b6bf863d38404f5bc4b2e93a2db721",
         "certificate.json": "34e1ad461aa0c8bfafc7f73195bff2a62f0961536f72c29895466b313cf7b2d9",
+    }),
+    "adversary-demo-hs": (["adversary-demo", "--class", "hs", "--d", "3",
+                           "--m", "2", "--seed", "0"], {
+        "adversary_report.json": "f99140f4d9550d53706fce222c22f80cd8a18afb2a44b5ed0f2a69c6fbce2bcb",
+        "certificate.json": "e8d39fea98c54579eafd2f8cad871807c18740b5cf266fc679052f5fbb3110c2",
     }),
     "jl-check": (["jl-check", "--seed", "0"], {
         "jl_report.json": "663dee80231e93dade4cc3aacf9f059ee2ee0b1e3e062b5ffdaa5607a98ed25f",
@@ -647,6 +652,32 @@ class TestGoldenDigests:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in sorted(tmp_path.iterdir())}
         assert digests == expected
+
+    def test_explicit_class_file_matches_pinned_digests(self, tmp_path,
+                                                        monkeypatch):
+        # A relative path keeps the report's "class" field stable. The
+        # support has a signed zero and a row that is rescaled onto the
+        # sphere, both of which the loader must read as a point would.
+        monkeypatch.chdir(tmp_path)
+        Path("class.json").write_text(json.dumps(EXPLICIT_CLASS))
+        argv = ["adversary-demo", "--class", "explicit:class.json", "--m",
+                "2", "--seed", "0", "--out", "out"]
+        assert main(argv) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(Path("out").iterdir())}
+        assert digests == EXPLICIT_CLASS_DIGESTS
+
+
+EXPLICIT_CLASS = {
+    "support": [[0.5, 0.5], [0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5],
+                [-0.0, 0.9], [3.0, 4.0]],
+    "targets": [[1, -1, -1, 1, 1, -1], [-1, 1, 1, -1, -1, 1],
+                [1, 1, -1, -1, 1, 1], [-1, -1, 1, 1, -1, -1]],
+}
+EXPLICIT_CLASS_DIGESTS = {
+    "adversary_report.json": "6759b69e7b508ddef72c17d8317efe51387027d827e948f6e9eda2b6914c6d4f",
+    "certificate.json": "8b3a0cede73ae3069d8ae3fd95faf2ff5f416096750a91f22004d7ce2868ce0b",
+}
 
 
 class TestSchemaDocs:

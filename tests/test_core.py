@@ -113,6 +113,34 @@ class TestFiniteDistribution:
         with pytest.raises(PreconditionError):
             FiniteDistribution(pts, [1.5, -0.5])
 
+    @pytest.mark.parametrize("support, message", [
+        ([], "empty support"),
+        (np.zeros((0, 2)), "empty support"),
+        ([[1.0], [0.1, 0.2]], "support points have mixed dimensions"),
+        ([[np.nan, 0.5], [0.5, 0.5]], "point coordinates must be finite"),
+        ([[0.5, -np.inf], [0.5, 0.5]], "point coordinates must be finite"),
+        ([[0.5, 0.5], [0.5, 0.5]], "support entries must be distinct"),
+        ([[0.0, 0.5], [-0.0, 0.5]], "support entries must be distinct"),
+    ], ids=["empty", "empty-matrix", "mixed", "nan", "inf", "duplicate",
+            "signed-zero-duplicate"])
+    def test_row_refusals_keep_their_messages(self, support, message):
+        probs = np.full(len(support), 1.0 / max(len(support), 1))
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            FiniteDistribution(support, probs)
+
+    def test_rescaled_rows_match_point_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((40, 7)) * rng.uniform(0.2, 3.0, (40, 1))
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[:5] /= norms[:5]  # on the sphere, up to rounding
+        rows[5:10] *= (1.0 + 2e-9) / norms[5:10]  # just past the tolerance
+        rows[10:15] *= (1.0 + 5e-10) / norms[10:15]  # just inside it
+        rows[15, 0] = -0.0
+        dist = FiniteDistribution(rows, np.full(40, 1.0 / 40))
+        for row, got in zip(rows, dist.matrix):
+            assert got.tobytes() == Point(row).coords.tobytes()
+        assert np.linalg.norm(dist.matrix, axis=1).max() <= 1.0 + 1e-9
+
     def test_expectation_exact(self):
         pts = [Point(np.array([1.0])), Point(np.array([-1.0]))]
         dist = FiniteDistribution(pts, [0.25, 0.75])
