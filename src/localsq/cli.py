@@ -26,9 +26,9 @@ from ._rng import derive_seed, generator
 from .baselines import DlDriver, DlLearnerConfig, adaptivity_profile, \
     learn_decision_list_sq
 from .comm import ONE_BIT
-from .core import DecisionList, Explicit, Point, \
-    classification_error, embed_hypercube, make_margin_source, \
-    random_decision_list, uniform_hypercube_source
+from .core import DecisionList, Explicit, classification_error, \
+    hypercube_rows, make_margin_source, point_rows, random_decision_list, \
+    uniform_hypercube_source
 from .errors import LocalSqError, PreconditionError, ProtocolError, \
     SolverError
 from .ldp import compile_sq, compile_sq_to_ldp, ldp_channel
@@ -410,9 +410,8 @@ def _cmd_estimate_mean(cfg: ExperimentConfig) -> None:
             f"failure fraction {fraction!r} exceeds delta {cfg.delta!r}")
 
 
-def _all_decision_lists(d: int, points) -> list:
+def _all_decision_lists(d: int, matrix) -> list:
     """Every decision list over d variables, deduplicated by label pattern."""
-    matrix = np.vstack([p.coords for p in points])
     seen = set()
     out = []
     for k in range(d + 1):
@@ -429,9 +428,8 @@ def _all_decision_lists(d: int, points) -> list:
     return out
 
 
-def _separable_patterns(points) -> list:
-    """All homogeneous-halfspace label patterns on the point list."""
-    matrix = np.vstack([p.coords for p in points])
+def _separable_patterns(matrix) -> list:
+    """All homogeneous-halfspace label patterns on the rows of matrix."""
     n, d = matrix.shape
     out = []
     for pattern in product((-1, 1), repeat=n):
@@ -443,7 +441,7 @@ def _separable_patterns(points) -> list:
             solve_lp(c=np.zeros(2 * d), a_ub=a_ub, b_ub=-np.ones(n))
         except SolverError:
             continue
-        out.append(Explicit.from_support(points, pattern))
+        out.append(Explicit(matrix, pattern))
     return out
 
 
@@ -451,10 +449,8 @@ def _load_explicit_class(path: str):
     obj = _read_json(path)
     validate("explicit_class", obj, PreconditionError,
              "invalid explicit class file: ")
-    points = tuple(Point(np.asarray(row, dtype=float))
-                   for row in obj["support"])
-    targets = [Explicit.from_support(points, labels)
-               for labels in obj["targets"]]
+    points = point_rows(obj["support"])
+    targets = [Explicit(points, labels) for labels in obj["targets"]]
     return points, targets
 
 
@@ -464,10 +460,7 @@ def _adversary_instance(cfg: ExperimentConfig):
         if cfg.dim > 3:
             raise PreconditionError(
                 "class enumeration is supported for d <= 3")
-        points = tuple(
-            embed_hypercube([(code >> i) & 1 for i in range(cfg.dim)])
-            for code in range(1 << cfg.dim)
-        )
+        points = hypercube_rows(cfg.dim)
         if spec == "dl":
             return points, _all_decision_lists(cfg.dim, points)
         return points, _separable_patterns(points)
@@ -478,71 +471,56 @@ def _adversary_instance(cfg: ExperimentConfig):
 
 def _cmd_adversary(cfg: ExperimentConfig) -> None:
     outdir = Path(cfg.out)
+    demo = witness_index = None
     if cfg.class_spec == "shipped":
         demo = run_shipped_negation_demo(cfg.seed)
-        report = {
-            "command": "adversary-demo",
-            "seed": cfg.seed,
-            "class": "shipped",
-            "m": 2,
-            "threshold": 0.5,
-            "n_targets": 2,
-            "found": demo.found,
-            "demo": demo.to_json(),
-            "witness_index": None,
-        }
-        _emit_json(outdir, "adversary_report.json", "adversary_report",
-                   report)
-        if demo.found:
-            _emit_json(outdir, "certificate.json", "certificate",
-                       demo.certificate.to_json())
-        print(f"adversary-demo seed={cfg.seed}: class=shipped "
-              f"found={demo.found} max_error={demo.max_error!r} "
-              f"identical_transcripts={demo.identical_transcripts} "
-              f"out={outdir}")
-        if cfg.check:
-            if not (demo.found and demo.identical_transcripts):
-                raise CheckFailure("shipped demo did not fool the probe")
-            total = demo.error_target + demo.error_negation
-            if abs(total - 1.0) > 1e-12:
-                raise CheckFailure(f"errors sum to {total!r}, not 1")
-            if demo.max_error < 0.5:
-                raise CheckFailure(
-                    f"max error {demo.max_error!r} below 1/2")
-        return
-    points, targets = _adversary_instance(cfg)
-    rng = generator(derive_seed(cfg.seed, "adversary-hset"))
-    rows = [tuple(1 if b else -1 for b in rng.integers(0, 2, len(points)))
-            for _ in range(cfg.m)]
-    hset = HypothesisSet(tuple(table_function(points, row) for row in rows))
-    threshold = 1.0 / cfg.m
-    res = correlation_cover_check(hset, targets, points, threshold)
-    found = not res.covered
-    witness_index = None
-    certificate = None
-    if found:
-        witness, certificate = res.witness
-        witness_index = next(
-            i for i, t in enumerate(targets) if t is witness)
+        m, n_targets, found, certificate = 2, 2, demo.found, demo.certificate
+    else:
+        points, targets = _adversary_instance(cfg)
+        rng = generator(derive_seed(cfg.seed, "adversary-hset"))
+        rows = [tuple(1 if b else -1 for b in rng.integers(0, 2, len(points)))
+                for _ in range(cfg.m)]
+        hset = HypothesisSet(tuple(table_function(points, row) for row in rows))
+        m, n_targets = cfg.m, len(targets)
+        res = correlation_cover_check(hset, targets, points, 1.0 / m)
+        found = not res.covered
+        witness, certificate = res.witness if found else (None, None)
+        if found:
+            witness_index = next(
+                i for i, t in enumerate(targets) if t is witness)
     report = {
         "command": "adversary-demo",
         "seed": cfg.seed,
         "class": cfg.class_spec,
-        "m": cfg.m,
-        "threshold": threshold,
-        "n_targets": len(targets),
+        "m": m,
+        "threshold": 1.0 / m,
+        "n_targets": n_targets,
         "found": found,
-        "demo": None,
+        "demo": demo.to_json() if demo else None,
         "witness_index": witness_index,
     }
     _emit_json(outdir, "adversary_report.json", "adversary_report", report)
     if found:
         _emit_json(outdir, "certificate.json", "certificate",
                    certificate.to_json())
-    value = certificate.value if found else None
-    print(f"adversary-demo seed={cfg.seed}: class={cfg.class_spec} "
-          f"m={cfg.m} targets={len(targets)} found={found} "
-          f"value={value!r} out={outdir}")
+    if demo is None:
+        value = certificate.value if found else None
+        print(f"adversary-demo seed={cfg.seed}: class={cfg.class_spec} "
+              f"m={m} targets={n_targets} found={found} "
+              f"value={value!r} out={outdir}")
+        return
+    print(f"adversary-demo seed={cfg.seed}: class=shipped "
+          f"found={demo.found} max_error={demo.max_error!r} "
+          f"identical_transcripts={demo.identical_transcripts} "
+          f"out={outdir}")
+    if cfg.check:
+        if not (demo.found and demo.identical_transcripts):
+            raise CheckFailure("shipped demo did not fool the probe")
+        total = demo.error_target + demo.error_negation
+        if abs(total - 1.0) > 1e-12:
+            raise CheckFailure(f"errors sum to {total!r}, not 1")
+        if demo.max_error < 0.5:
+            raise CheckFailure(f"max error {demo.max_error!r} below 1/2")
 
 
 def _cmd_jl_check(cfg: ExperimentConfig) -> None:

@@ -3,9 +3,10 @@
 Everything downstream (oracles, compilers, learners, the lower-bound lab)
 works against the types defined here: points in the unit ball, explicit
 finite distributions, target function classes closed under negation, labeled
-sources supporting exact expectations, and seeded sample streams. Distributions
-are explicit finite lists on purpose: oracle-equality and lower-bound
-demonstrations need exact means, not estimates.
+sources supporting exact expectations, and seeded sample streams. A point
+set is one checked (n, d) matrix (`point_rows`); `Point` is for a single
+point. Distributions are explicit and finite on purpose: oracle-equality and
+lower-bound demonstrations need exact means, not estimates.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def signp(a: np.ndarray | float) -> np.ndarray:
 
 def _in_unit_ball(arr: np.ndarray, what: str) -> np.ndarray:
     """arr, or arr rescaled onto the unit sphere (with a warning) if |arr| > 1."""
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):  # an overflowing norm is handled below
+        norm = float(np.linalg.norm(arr))
     # Only a non-finite coordinate, or overflow, makes the norm non-finite.
     if not math.isfinite(norm) and not np.isfinite(arr).all():
         raise PreconditionError(f"{what} must be finite")
@@ -65,10 +67,6 @@ class Point:
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Point):
             return NotImplemented
@@ -82,18 +80,64 @@ class Point:
     def __repr__(self) -> str:
         return f"Point({np.array2string(self.coords, separator=', ')})"
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.coords, dtype=dtype, copy=copy)
+
+
+def _row_keys(M: np.ndarray) -> np.ndarray:
+    """One opaque key per row: comparing keys compares the rows' bytes."""
+    M = np.ascontiguousarray(M)
+    return M.view(np.dtype((np.void, M.itemsize * M.shape[1]))).ravel()
+
+
+def _as_rows(X) -> np.ndarray:
+    """X, a matrix or a sequence of rows or Points, as a float array of rows."""
+    try:
+        rows = np.asarray(X, dtype=float)
+    except ValueError:
+        raise PreconditionError("support points have mixed dimensions") from None
+    return rows.reshape(len(rows), -1) if rows.ndim != 2 and rows.size else rows
+
+
+def point_rows(X) -> np.ndarray:
+    """X as a read-only (n, d) matrix of distinct points in the unit ball.
+
+    Each row gets Point's treatment, bit for bit: non-finite values are
+    refused, -0.0 becomes 0.0, and a row with norm over 1 + BALL_TOL is
+    rescaled by Point's own arithmetic. Empty sets, mixed dimensions and
+    repeated rows are refused.
+    """
+    rows = _as_rows(X)
+    if len(rows) == 0:
+        raise PreconditionError("empty support")
+    rows = rows + 0.0  # a fresh copy; -0.0 + 0.0 is 0.0
+    if not np.isfinite(rows).all():
+        raise PreconditionError("point coordinates must be finite")
+    # The summed squares may differ from Point's norm in the last bits, so
+    # they only pick the rows that Point's check then decides on.
+    with np.errstate(over="ignore"):
+        far = np.einsum("ij,ij->i", rows, rows) > (1.0 + BALL_TOL / 2) ** 2
+    for i in np.flatnonzero(far):
+        rows[i] = _in_unit_ball(rows[i].copy(), "point coordinates")
+    if len(set(_row_keys(rows).tolist())) != len(rows):
+        raise PreconditionError("support entries must be distinct")
+    rows.setflags(write=False)
+    return rows
+
 
 class FiniteDistribution:
-    """Explicit distribution over finitely many distinct points."""
+    """Explicit distribution over finitely many distinct points.
 
-    def __init__(self, support: Sequence[Point], probs: Iterable[float]):
-        support = tuple(
-            p if isinstance(p, Point) else Point(np.asarray(p)) for p in support
-        )
+    The support is a matrix of rows or a sequence of Points, stored as the
+    checked matrix `point_rows` makes of it; or another distribution, whose
+    checked support is reused as it is.
+    """
+
+    def __init__(self, support, probs: Iterable[float]):
+        matrix = (support.matrix if isinstance(support, FiniteDistribution)
+                  else point_rows(support))
         probs_arr = np.array(list(probs), dtype=float)
-        if len(support) == 0:
-            raise PreconditionError("empty support")
-        if probs_arr.shape != (len(support),):
+        if probs_arr.shape != (len(matrix),):
             raise PreconditionError("probs length does not match support")
         if not np.isfinite(probs_arr).all():
             raise PreconditionError("probabilities must be finite")
@@ -103,21 +147,13 @@ class FiniteDistribution:
             raise PreconditionError(
                 f"probabilities sum to {probs_arr.sum()!r}, not 1 within {PROB_TOL}"
             )
-        if len(set(support)) != len(support):
-            raise PreconditionError("support entries must be distinct")
-        dims = {p.dim for p in support}
-        if len(dims) != 1:
-            raise PreconditionError("support points have mixed dimensions")
         probs_arr.setflags(write=False)
-        matrix = np.vstack([p.coords for p in support])
-        matrix.setflags(write=False)
-        self.support = support
         self.probs = probs_arr
         self._matrix = matrix
 
     @property
     def matrix(self) -> np.ndarray:
-        """Support points stacked as an (n, d) array."""
+        """Support points as a read-only (n, d) array."""
         return self._matrix
 
     @property
@@ -125,7 +161,7 @@ class FiniteDistribution:
         return self._matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.support)
+        return len(self._matrix)
 
     def expectation(self, values: np.ndarray) -> float:
         """Exact mean of per-support-point values."""
@@ -232,38 +268,34 @@ class DecisionList(TargetFunction):
 
 
 class Explicit(TargetFunction):
-    """A lookup-table function defined on an explicit set of points."""
+    """A lookup table labeling row i of `support` with labels[i].
 
-    def __init__(self, table: dict[Point, int]):
-        self._table = {}
-        for point, label in table.items():
-            if not isinstance(point, Point):
-                point = Point(np.asarray(point))
-            label = int(label)
-            if label not in (-1, 1):
-                raise PreconditionError("labels must be -1 or +1")
-            self._table[point.coords.tobytes()] = label
-        if not self._table:
-            raise PreconditionError("empty table")
+    The support is a checked point set (`point_rows`, or Points), so its
+    rows are not checked again: they are keyed by their bytes, with -0.0
+    read as 0.0 in the table and in every query.
+    """
 
-    @classmethod
-    def from_support(cls, support: Sequence[Point], labels: Iterable[int]) -> "Explicit":
-        labels = list(labels)
-        if len(labels) != len(support):
+    def __init__(self, support, labels: Iterable[int]):
+        rows = _as_rows(support) + 0.0
+        labels = [int(v) for v in labels]
+        if len(labels) != len(rows):
             raise PreconditionError(
-                f"{len(labels)} labels for {len(support)} support points")
-        return cls(dict(zip(support, labels)))
+                f"{len(labels)} labels for {len(rows)} support points")
+        if not labels:
+            raise PreconditionError("empty table")
+        if any(v not in (-1, 1) for v in labels):
+            raise PreconditionError("labels must be -1 or +1")
+        self._table = dict(zip(_row_keys(rows).tolist(), labels))
+        if len(self._table) != len(labels):
+            raise PreconditionError("support entries must be distinct")
 
     def labels_for(self, X: np.ndarray) -> np.ndarray:
-        # -0.0 is keyed as 0.0, as in Point's coords.
-        X = np.asarray(X, dtype=float) + 0.0
-        out = np.empty(X.shape[0])
-        for row in range(X.shape[0]):
-            key = X[row].tobytes()
-            if key not in self._table:
-                raise EvaluationError("function undefined on a queried point")
-            out[row] = float(self._table[key])
-        return out
+        keys = _row_keys(np.asarray(X, dtype=float) + 0.0).tolist()
+        try:
+            return np.array([self._table[k] for k in keys], dtype=float)
+        except KeyError:
+            raise EvaluationError(
+                "function undefined on a queried point") from None
 
     def negate(self) -> "Explicit":
         flipped = Explicit.__new__(Explicit)
@@ -353,12 +385,13 @@ class SampleStream:
 def classification_error(h, src: LabeledSource) -> float:
     """Exact disagreement mass between hypothesis h and the source target.
 
-    h may be a TargetFunction or any callable taking a Point to a label.
+    h may be a TargetFunction or any callable taking a Point to a label,
+    which is called on each support row.
     """
     if hasattr(h, "labels_for"):
         predicted = np.asarray(h.labels_for(src.dist.matrix), dtype=float)
     elif callable(h):
-        predicted = np.array([float(h(p)) for p in src.dist.support])
+        predicted = np.array([float(h(Point(x))) for x in src.dist.matrix])
     else:
         raise EvaluationError("hypothesis is neither a target function nor callable")
     return float(np.sum(src.dist.probs * (predicted != src.labels)))
@@ -373,6 +406,15 @@ def embed_hypercube(bits: Sequence[int]) -> Point:
     if not np.all(np.isin(bits_arr, (0.0, 1.0))):
         raise PreconditionError("bits must be 0/1")
     return Point((2.0 * bits_arr - 1.0) / np.sqrt(d))
+
+
+def hypercube_rows(d: int) -> np.ndarray:
+    """All 2^d embedded bit vectors as rows; row `code` has bit i equal to
+    (code >> i) & 1, with embed_hypercube's bits."""
+    if d < 1:
+        raise PreconditionError("need at least one bit")
+    bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+    return (2.0 * bits - 1.0) / np.sqrt(d)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +452,6 @@ def make_margin_source(
         np.maximum(0.0, 1.0 - u**2)
     )
     X = u[:, None] * w[None, :] + r[:, None] * v
-    points = [Point(X[i]) for i in range(n_support)]
     if probs == "uniform":
         p = np.full(n_support, 1.0 / n_support)
     elif probs == "random":
@@ -418,7 +459,7 @@ def make_margin_source(
         p = raw / raw.sum()
     else:
         raise PreconditionError("probs must be 'uniform' or 'random'")
-    dist = FiniteDistribution(points, p)
+    dist = FiniteDistribution(X, p)
     return LabeledSource(dist, LinearThreshold(w, gamma))
 
 
@@ -427,11 +468,7 @@ def uniform_hypercube_source(d: int, target: TargetFunction) -> LabeledSource:
     if d < 1 or d > 16:
         raise PreconditionError("hypercube enumeration supported for 1 <= d <= 16")
     n = 1 << d
-    points = []
-    for code in range(n):
-        bits = [(code >> i) & 1 for i in range(d)]
-        points.append(embed_hypercube(bits))
-    dist = FiniteDistribution(points, np.full(n, 1.0 / n))
+    dist = FiniteDistribution(hypercube_rows(d), np.full(n, 1.0 / n))
     return LabeledSource(dist, target)
 
 

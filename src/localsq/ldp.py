@@ -14,7 +14,6 @@ with the same round structure.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -290,9 +289,6 @@ class ProtocolReport:
             self.channel.budget_key: self.channel.budget,
             "queries": self.queries,
         }
-
-    def __str__(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def compile_sq(driver, S, channel: Channel, tau: float, delta: float,

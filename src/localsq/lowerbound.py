@@ -25,9 +25,12 @@ from .core import (
     Explicit,
     FiniteDistribution,
     LabeledSource,
+    Point,
     TargetFunction,
+    _as_rows,
+    _row_keys,
     classification_error,
-    embed_hypercube,
+    hypercube_rows,
 )
 from .errors import (
     ContractViolation,
@@ -202,31 +205,25 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
 # Hypothesis sets and adversarial certificates.
 
 
-def _row_keys(M: np.ndarray) -> np.ndarray:
-    """One opaque key per row: comparing keys compares the rows' bytes."""
-    M = np.ascontiguousarray(M)
-    return M.view(np.dtype((np.void, M.itemsize * M.shape[1]))).ravel()
-
-
 def table_function(points, values):
-    """A [-1,1]-valued lookup function over an explicit point list.
+    """A [-1,1]-valued lookup function over explicit points: a matrix of
+    rows or a sequence of Points.
 
     A queried row matches a point when their float64 bytes are equal, so
     -0.0 does not match 0.0. When a point repeats, its last value wins.
     """
-    coords = [p.coords for p in points]
+    rows = _as_rows(points)
     table = np.asarray(values, dtype=float).reshape(-1)
-    if not coords or table.size != len(coords):
+    if not len(rows) or table.size != len(rows):
         raise PreconditionError("need one value for each of at least one point")
     if (np.abs(table) > 1.0 + 1e-12).any():
         raise PreconditionError("table values must lie in [-1, 1]")
-    width = len(coords[0])
-    if width == 0 or set(map(len, coords)) != {width}:
-        raise PreconditionError("table points must share one nonzero dimension")
-    # Point coordinates are contiguous float64 vectors, so joining their
-    # buffers is the fast way to stack them. A stable sort keeps repeated
-    # points in list order, so the rightmost match is the last occurrence.
-    keys = _row_keys(np.frombuffer(b"".join(coords)).reshape(-1, width))
+    width = rows.shape[1]
+    if width == 0:
+        raise PreconditionError("table points must have a nonzero dimension")
+    # A stable sort keeps repeated points in order, so the rightmost match
+    # is the last occurrence.
+    keys = _row_keys(rows)
     order = keys.argsort(kind="stable")
     keys, table = keys[order], table[order]
 
@@ -307,22 +304,22 @@ class AdversarialCertificate:
 
 def worst_correlation_distribution(f: TargetFunction, hset: HypothesisSet,
                                    X) -> AdversarialCertificate:
-    """Distribution minimizing the worst |E_D[f h_i]| over the point list X.
+    """Distribution minimizing the worst |E_D[f h_i]| over the points X (a
+    matrix of rows or a sequence of Points).
 
     minimize t  s.t.  -t <= sum_x D(x) f(x) h_i(x) <= t  for every i,
     sum_x D(x) = 1, D >= 0. Uniform D is always feasible; optimality is
     certified through the duality gap.
     """
-    points = tuple(X)
-    if not points:
+    n = len(X)
+    if n == 0:
         raise PreconditionError("the point list is empty")
     if hset.m < 1:
         raise PreconditionError("need at least one hypothesis")
-    matrix = np.vstack([p.coords for p in points])
-    labels = np.asarray(f.labels_for(matrix), dtype=float)
-    H = hset.evaluate(matrix)
+    domain = FiniteDistribution(X, np.full(n, 1.0 / n))
+    labels = np.asarray(f.labels_for(domain.matrix), dtype=float)
+    H = hset.evaluate(domain.matrix)
     corr = H * labels  # row i holds f(x) h_i(x) over x
-    n = len(points)
     a_ub = np.vstack([
         np.hstack([corr, -np.ones((hset.m, 1))]),
         np.hstack([-corr, -np.ones((hset.m, 1))]),
@@ -340,7 +337,7 @@ def worst_correlation_distribution(f: TargetFunction, hset: HypothesisSet,
         )
     D = np.clip(sol.x[:n], 0.0, None)
     D = D / D.sum()
-    dist = FiniteDistribution(points, D)
+    dist = FiniteDistribution(domain, D)
     cert = AdversarialCertificate(dist=dist, value=0.0, target=f)
     value = cert.recompute_value(hset)
     if abs(value - sol.x[n]) > 1e-9:
@@ -364,16 +361,13 @@ def correlation_cover_check(hset: HypothesisSet, targets, X,
     targets = tuple(targets)
     if not targets:
         raise PreconditionError("the target class is empty")
-    points = tuple(X)
     if hset.m == 0:
-        uniform = FiniteDistribution(
-            points, np.full(len(points), 1.0 / len(points))
-        )
+        uniform = FiniteDistribution(X, np.full(len(X), 1.0 / len(X)))
         cert = AdversarialCertificate(dist=uniform, value=0.0,
                                       target=targets[0])
         return CoverCheckResult(covered=False, witness=(targets[0], cert))
     for f in targets:
-        cert = worst_correlation_distribution(f, hset, points)
+        cert = worst_correlation_distribution(f, hset, X)
         if cert.value < threshold:
             return CoverCheckResult(covered=False, witness=(f, cert))
     return CoverCheckResult(covered=True, witness=None)
@@ -447,11 +441,9 @@ def negation_fooling_demo(driver_factory, targets, X, m: int,
     the report says so; that is an outcome, not a failure.
     """
     targets = tuple(targets)
-    points = tuple(X)
     if m < 1:
         raise PreconditionError("m must be at least 1")
-    matrix = np.vstack([p.coords for p in points])
-    _verify_negation_closed(targets, matrix)
+    _verify_negation_closed(targets, _as_rows(X))
     probe = driver_factory()
     queries = list(probe.begin())
     threshold = 1.0 / m
@@ -466,7 +458,7 @@ def negation_fooling_demo(driver_factory, targets, X, m: int,
                 "label-dependent queries must declare tolerance >= 1/m"
             )
     hset = HypothesisSet(tuple(decompose(q).h for q in label_dep))
-    cover = correlation_cover_check(hset, targets, points, threshold)
+    cover = correlation_cover_check(hset, targets, X, threshold)
     if cover.covered:
         return NegationFoolingReport(
             found=False, certificate=None, answers_target=(),
@@ -495,18 +487,17 @@ def negation_fooling_demo(driver_factory, targets, X, m: int,
 
 
 class SingleProbeDriver:
-    """One label-correlation probe, then a hypothesis picked by its sign."""
+    """One label-correlation probe, then its pattern or the negation."""
 
     max_queries = 1
 
     def __init__(self, points, pattern, tau):
-        self._points = tuple(points)
-        self._pattern = tuple(int(v) for v in pattern)
+        self._probe = Explicit(points, pattern)
         self._tau = float(tau)
         self._answer = None
 
     def begin(self):
-        probe = Explicit.from_support(self._points, self._pattern)
+        probe = self._probe
 
         def fn(X, y, probe=probe):
             return y * probe.labels_for(X)
@@ -521,22 +512,20 @@ class SingleProbeDriver:
     def result(self):
         if self._answer is None:
             raise ProtocolError("run has not finished")
-        pattern = self._pattern if self._answer >= 0 else tuple(
-            -v for v in self._pattern
-        )
-        return Explicit.from_support(self._points, pattern)
+        return self._probe if self._answer >= 0 else self._probe.negate()
 
 
-def make_shipped_negation_demo(seed: int):
+def _shipped_demo(seed: int):
     """The four-point parity-pattern instance: domain, class, driver, m.
 
-    The probe pattern is drawn per seed from the +-1 patterns other than
-    the target and its negation; every such probe is suppressible, so the
-    demo finds a certificate for each seed.
+    The domain is the embedded 2-bit cube as a (4, 2) matrix. The probe
+    pattern is drawn per seed from the +-1 patterns other than the target
+    and its negation; every such probe is suppressible, so the demo finds
+    a certificate for each seed.
     """
-    points = tuple(embed_hypercube([a, b]) for a in (0, 1) for b in (0, 1))
+    points = hypercube_rows(2)[[0, 2, 1, 3]]  # (a, b) in a-major order
     f_labels = (1, -1, -1, 1)
-    f = Explicit.from_support(points, f_labels)
+    f = Explicit(points, f_labels)
     targets = (f, f.negate())
     rng = generator(derive_seed(seed, "shipped-probe"))
     while True:
@@ -551,6 +540,11 @@ def make_shipped_negation_demo(seed: int):
     return factory, targets, points, m
 
 
+def make_shipped_negation_demo(seed: int):
+    """The shipped instance of `_shipped_demo`, its domain as four Points."""
+    factory, targets, points, m = _shipped_demo(seed)
+    return factory, targets, tuple(map(Point, points)), m
+
+
 def run_shipped_negation_demo(seed: int) -> NegationFoolingReport:
-    factory, targets, points, m = make_shipped_negation_demo(seed)
-    return negation_fooling_demo(factory, targets, points, m)
+    return negation_fooling_demo(*_shipped_demo(seed))

@@ -13,6 +13,7 @@ the margin.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .core import (
     Explicit,
     FiniteDistribution,
     LabeledSource,
-    Point,
     signp,
 )
 from .errors import PreconditionError, ProtocolError
@@ -198,10 +198,8 @@ def jl_project(src: LabeledSource, gamma: float, delta: float,
     original normal.
     """
     proj = jl_map(src.dim, gamma, delta, seed)
-    mapped = proj.apply(src.dist.matrix)
-    points = [Point(mapped[i]) for i in range(mapped.shape[0])]
-    dist = FiniteDistribution(points, src.dist.probs)
-    target = Explicit.from_support(points, [int(v) for v in src.labels])
+    dist = FiniteDistribution(proj.apply(src.dist.matrix), src.dist.probs)
+    target = Explicit(dist.matrix, [int(v) for v in src.labels])
     return proj, LabeledSource(dist, target)
 
 
@@ -251,17 +249,7 @@ class LearnerReport:
     label_non_adaptive: bool
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "iterations_executed": self.iterations_executed,
-            "iterations_formula": self.iterations_formula,
-            "eta": self.eta,
-            "per_coord_tol": self.per_coord_tol,
-            "queries_total": self.queries_total,
-            "queries_label_dependent": self.queries_label_dependent,
-            "rounds": self.rounds,
-            "label_non_adaptive": self.label_non_adaptive,
-        }
+        return dataclasses.asdict(self)
 
 
 class HalfspaceDriver:

@@ -145,16 +145,20 @@ class InteractivityTranscript:
         self.blocks: list[TranscriptBlock] = []
         self._count = 0
 
-    def append(self, round_index: int, label_dependent: bool, tau: float,
-               answers, scale: float = 1.0):
-        """Record one answered block, or refuse it and leave the record as is."""
+    def check_round(self, round_index: int) -> int:
+        """round_index as an int, refused unless it may be recorded next."""
         round_index = int(round_index)
         if round_index < 0:
             raise ProtocolError("round indices must be >= 0")
         if self.blocks and round_index < self.blocks[-1].round:
-            raise ProtocolError(
-                f"round {round_index} issued after round {self.blocks[-1].round}"
-            )
+            raise ProtocolError(f"round {round_index} issued after round "
+                                f"{self.blocks[-1].round}")
+        return round_index
+
+    def append(self, round_index: int, label_dependent: bool, tau: float,
+               answers, scale: float = 1.0):
+        """Record one answered block, or refuse it and leave the record as is."""
+        round_index = self.check_round(round_index)
         answers = tuple(np.asarray(answers, dtype=float).ravel().tolist())
         if not answers:
             raise ProtocolError("a block records at least one answer")
@@ -228,6 +232,7 @@ class _TranscriptingOracle:
 
     def ask(self, q: StatQuery, round_index: int):
         """Answer q, recorded as one block: a float, or a (width,) array."""
+        self.transcript.check_round(round_index)  # before any state changes
         answers = self._answer(q)
         self.transcript.append(round_index, q.label_dependent, q.tau, answers,
                                q.scale)

@@ -352,7 +352,7 @@ def test_criterion_08_lp_vs_grid():
     worst = 0.0
     for f in itertools.product([-1, 1], repeat=n_pts):
         fv = np.array(f, dtype=float)
-        target = Explicit.from_support(pts, f)
+        target = Explicit(pts, f)
         for size in (1, 2):
             for combo in itertools.combinations_with_replacement(
                     range(len(rows_pool)), size):

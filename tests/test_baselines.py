@@ -105,7 +105,7 @@ class TestExactLearning:
         )
         src = LabeledSource(
             FiniteDistribution(pts, [0.25] * 4),
-            Explicit.from_support(pts, labels),
+            Explicit(pts, labels),
         )
         with pytest.raises(LearningFailure):
             learn_decision_list_sq(

@@ -43,7 +43,7 @@ def two_point_source(a=1.0, b=-1.0, pa=0.5):
     pts = [Point(np.array([a])), Point(np.array([b]))]
     dist = FiniteDistribution(pts, [pa, 1 - pa])
     labels = (1 if a > 0 else -1, 1 if b > 0 else -1)
-    return LabeledSource(dist, Explicit.from_support(pts, labels))
+    return LabeledSource(dist, Explicit(pts, labels))
 
 
 class NonInteractiveDriver:

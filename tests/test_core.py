@@ -4,6 +4,8 @@ Reference values are computed by plain-Python enumeration oracles in this
 file, hand arithmetic frozen as literals, or direct invariant assertions.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from localsq.core import (
     SampleStream,
     classification_error,
     embed_hypercube,
+    hypercube_rows,
     make_margin_source,
     negate,
     random_decision_list,
@@ -31,8 +34,8 @@ from localsq.errors import EvaluationError, PreconditionError
 def brute_error(h, src):
     """Oracle: per-point loop, no vectorization shared with the implementation."""
     total = 0.0
-    for point, prob, label in zip(src.dist.support, src.dist.probs, src.labels):
-        if float(h(point)) != float(label):
+    for x, prob, label in zip(src.dist.matrix, src.dist.probs, src.labels):
+        if float(h(Point(x))) != float(label):
             total += float(prob)
     return total
 
@@ -41,7 +44,7 @@ def two_point_source(labels=(1, -1)):
     e1 = Point(np.array([1.0, 0.0]))
     e2 = Point(np.array([0.0, 1.0]))
     dist = FiniteDistribution([e1, e2], [0.5, 0.5])
-    return LabeledSource(dist, Explicit.from_support([e1, e2], labels))
+    return LabeledSource(dist, Explicit([e1, e2], labels))
 
 
 class TestPoint:
@@ -77,11 +80,13 @@ class TestPoint:
         with pytest.raises(PreconditionError, match="must be finite"):
             Point(np.array([bad, 0.5]))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, -1)])
     def test_overflowing_norm_keeps_the_direction(self, signs):
-        # |x|^2 overflows to inf although every coordinate is finite.
-        p = Point(np.array([signs[0] * 1e200, signs[1] * 1e200]))
+        # |x|^2 overflows to inf although every coordinate is finite; the
+        # overflow is handled, so no warning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = Point(np.array([signs[0] * 1e200, signs[1] * 1e200]))
         expected = np.array(signs) * np.sqrt(0.5)
         assert np.all(np.abs(p.coords - expected) <= np.spacing(np.sqrt(0.5)))
 
@@ -141,6 +146,20 @@ class TestFiniteDistribution:
             assert got.tobytes() == Point(row).coords.tobytes()
         assert np.linalg.norm(dist.matrix, axis=1).max() <= 1.0 + 1e-9
 
+    def test_overflowing_row_rescaled_without_a_warning(self):
+        rows = np.array([[1e200, -1e200], [0.1, 0.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = FiniteDistribution(rows, [0.5, 0.5])
+        assert dist.matrix[0].tobytes() == Point(rows[0]).coords.tobytes()
+        assert dist.matrix[1].tobytes() == rows[1].tobytes()
+
+    def test_support_of_a_distribution_reused(self):
+        dist = FiniteDistribution([[0.5], [-0.5]], [0.5, 0.5])
+        other = FiniteDistribution(dist, [0.25, 0.75])
+        assert other.matrix is dist.matrix
+        assert other.probs.tolist() == [0.25, 0.75]
+
     def test_expectation_exact(self):
         pts = [Point(np.array([1.0])), Point(np.array([-1.0]))]
         dist = FiniteDistribution(pts, [0.25, 0.75])
@@ -159,7 +178,7 @@ class TestClassificationError:
     def test_two_point_uniform_half(self):
         # One disagreement out of two equally likely points: 0.5.
         src = two_point_source(labels=(1, -1))
-        h = Explicit.from_support(src.dist.support, (1, 1))
+        h = Explicit(src.dist.matrix, (1, 1))
         assert classification_error(h, src) == 0.5
         assert brute_error(h, src) == 0.5
 
@@ -170,17 +189,17 @@ class TestClassificationError:
 
     def test_undefined_hypothesis_raises(self):
         src = two_point_source()
-        h = Explicit({Point(np.array([0.3, 0.3])): 1})
+        h = Explicit([[0.3, 0.3]], (1,))
         with pytest.raises(EvaluationError):
             classification_error(h, src)
 
     @pytest.mark.parametrize("labels", [(1, -1, 1), (1,)],
                              ids=["long", "short"])
     def test_label_list_must_match_support(self, labels):
-        support = two_point_source().dist.support
+        support = two_point_source().dist.matrix
         with pytest.raises(PreconditionError,
                            match=f"^{len(labels)} labels for 2 support"):
-            Explicit.from_support(support, labels)
+            Explicit(support, labels)
 
     def test_matches_brute_oracle_on_random_sources(self):
         for seed in range(5):
@@ -194,10 +213,14 @@ class TestClassificationError:
 
 class TestExplicit:
     def test_signed_zero_looked_up_like_zero(self):
-        f = Explicit({Point(np.array([0.0, 0.5])): -1})
+        f = Explicit([[0.0, 0.5]], (-1,))
         X = np.array([[-0.0, 0.5], [0.0, 0.5]])
         assert f.labels_for(X).tolist() == [-1.0, -1.0]
         assert f(Point(np.array([-0.0, 0.5]))) == -1
+
+    def test_repeated_support_row_refused(self):
+        with pytest.raises(PreconditionError, match="distinct"):
+            Explicit([[0.0, 0.5], [-0.0, 0.5]], (1, -1))
 
     def test_to_json_refused_with_a_typed_error(self):
         with pytest.raises(PreconditionError, match="support"):
@@ -237,9 +260,10 @@ class TestExactMargin:
         with pytest.raises(PreconditionError, match="must be finite"):
             LinearThreshold(np.array([bad, 0.0]), 0.5)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_weights_keep_the_direction(self):
-        f = LinearThreshold(np.array([1e200, -1e200]), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = LinearThreshold(np.array([1e200, -1e200]), 0.5)
         expected = np.array([1.0, -1.0]) * np.sqrt(0.5)
         assert np.all(np.abs(f.w - expected) <= np.spacing(np.sqrt(0.5)))
 
@@ -250,7 +274,7 @@ class TestSample:
     def test_point_mass_gives_copies(self):
         e1 = Point(np.array([0.3, 0.4]))
         dist = FiniteDistribution([e1], [1.0])
-        src = LabeledSource(dist, Explicit.from_support([e1], (1,)))
+        src = LabeledSource(dist, Explicit([e1], (1,)))
         X, y = SampleStream(src, 7, seed=11).batch(0, 7)
         assert X.shape == (7, 2)
         assert np.all(X == e1.coords)
@@ -309,7 +333,7 @@ class TestSampleStream:
         e1 = Point(np.array([1.0]))
         e2 = Point(np.array([-1.0]))
         dist = FiniteDistribution([e1, e2], [0.2, 0.8])
-        src = LabeledSource(dist, Explicit.from_support([e1, e2], (1, -1)))
+        src = LabeledSource(dist, Explicit([e1, e2], (1, -1)))
         stream = SampleStream(src, 20_000, seed=3)
         counts = stream.counts(0, 20_000)
         assert abs(counts[0] / 20_000 - 0.2) < 0.05
@@ -337,6 +361,18 @@ class TestEmbedHypercube:
         d = 5
         points = {embed_hypercube([(c >> i) & 1 for i in range(d)]) for c in range(1 << d)}
         assert len(points) == 1 << d
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rows_match_embedded_codes_bit_for_bit(self, d):
+        stacked = np.vstack([
+            embed_hypercube([(code >> i) & 1 for i in range(d)]).coords
+            for code in range(1 << d)])
+        assert hypercube_rows(d).tobytes() == stacked.tobytes()
+        assert hypercube_rows(d).shape == stacked.shape
+
+    def test_rows_need_a_bit(self):
+        with pytest.raises(PreconditionError, match="at least one bit"):
+            hypercube_rows(0)
 
 
 class TestDecisionList:

@@ -54,7 +54,7 @@ def two_point_source(a=1.0, b=-1.0, pa=0.5):
     pts = [Point(np.array([a])), Point(np.array([b]))]
     dist = FiniteDistribution(pts, [pa, 1 - pa])
     labels = (1 if a > 0 else -1, 1 if b > 0 else -1)
-    return LabeledSource(dist, Explicit.from_support(pts, labels))
+    return LabeledSource(dist, Explicit(pts, labels))
 
 
 class NonInteractiveDriver:
@@ -632,7 +632,7 @@ class TestChannel:
         pts = [Point(np.array([0.5])), Point(np.array([-0.5]))]
         dist = FiniteDistribution(pts, [0.5, 0.5 + 9e-13])
         assert float(dist.probs @ np.ones(2)) > 1.0
-        src = LabeledSource(dist, Explicit.from_support(pts, (1, -1)))
+        src = LabeledSource(dist, Explicit(pts, (1, -1)))
         stream = SampleStream(src, 100, seed=0)
         est = ONE_BIT.estimate_mean(stream, range(0, 100),
                                     lambda X, y: np.ones(len(X)), seed=3)

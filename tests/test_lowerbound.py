@@ -252,14 +252,14 @@ class TestTableFunction:
 class TestWorstCorrelationDistribution:
     def test_self_set_has_value_one(self):
         pts = three_points()
-        f = Explicit.from_support(pts, (1, -1, 1))
+        f = Explicit(pts, (1, -1, 1))
         hset = HypothesisSet((table_function(pts, (1, -1, 1)),))
         cert = worst_correlation_distribution(f, hset, pts)
         assert cert.value == pytest.approx(1.0)
 
     def test_two_point_balance(self):
         pts = (Point(np.array([0.5])), Point(np.array([-0.5])))
-        f = Explicit.from_support(pts, (1, 1))
+        f = Explicit(pts, (1, 1))
         hset = HypothesisSet((table_function(pts, (1, -1)),))
         cert = worst_correlation_distribution(f, hset, pts)
         assert cert.value == pytest.approx(0.0, abs=1e-12)
@@ -269,7 +269,7 @@ class TestWorstCorrelationDistribution:
         # Three correlation rows (1,-1,-1), (-1,1,-1), (-1,-1,1) force the
         # uniform distribution and value exactly 1/3.
         pts = three_points()
-        f = Explicit.from_support(pts, (1, 1, 1))
+        f = Explicit(pts, (1, 1, 1))
         hset = HypothesisSet((
             table_function(pts, (1, -1, -1)),
             table_function(pts, (-1, 1, -1)),
@@ -280,7 +280,7 @@ class TestWorstCorrelationDistribution:
 
     def test_certificate_recomputes(self):
         pts = three_points()
-        f = Explicit.from_support(pts, (1, -1, 1))
+        f = Explicit(pts, (1, -1, 1))
         hset = HypothesisSet((
             table_function(pts, (1, 1, -1)),
             table_function(pts, (0.5, -0.5, 0.5)),
@@ -297,7 +297,7 @@ class TestWorstCorrelationDistribution:
         for _ in range(25):
             f_pat = rng.choice([-1.0, 1.0], size=3)
             rows = rng.choice([-1.0, 1.0], size=(int(rng.integers(1, 4)), 3))
-            f = Explicit.from_support(pts, tuple(int(v) for v in f_pat))
+            f = Explicit(pts, tuple(int(v) for v in f_pat))
             hset = HypothesisSet(tuple(table_function(pts, r) for r in rows))
             cert = worst_correlation_distribution(f, hset, pts)
             assert cert.value <= grid_minimax(rows * f_pat, grid) + 1e-9
@@ -311,7 +311,7 @@ class TestWorstCorrelationDistribution:
         rows_pool = [np.array(p) for p in patterns]
         rows_pool += [0.5 * np.array(p) for p in patterns]
         f_pat = np.array([1.0, -1.0, 1.0])
-        f = Explicit.from_support(pts, (1, -1, 1))
+        f = Explicit(pts, (1, -1, 1))
         checked = 0
         for i, j in itertools.combinations(range(len(rows_pool)), 2):
             if checked >= 40:
@@ -325,7 +325,7 @@ class TestWorstCorrelationDistribution:
 
     def test_empty_inputs_rejected(self):
         pts = three_points()
-        f = Explicit.from_support(pts, (1, 1, 1))
+        f = Explicit(pts, (1, 1, 1))
         with pytest.raises(PreconditionError):
             worst_correlation_distribution(f, HypothesisSet(()), pts)
         with pytest.raises(PreconditionError):
@@ -335,7 +335,7 @@ class TestWorstCorrelationDistribution:
 
     def test_certificate_json_shape(self):
         pts = three_points()
-        f = Explicit.from_support(pts, (1, -1, 1))
+        f = Explicit(pts, (1, -1, 1))
         hset = HypothesisSet((table_function(pts, (1, 1, -1)),))
         obj = worst_correlation_distribution(f, hset, pts).to_json()
         assert set(obj) == {"D", "value", "target"}
@@ -367,14 +367,14 @@ def all_two_bit_decision_lists():
 class TestCoverCheck:
     def test_self_cover(self):
         pts = three_points()
-        f = Explicit.from_support(pts, (1, -1, 1))
+        f = Explicit(pts, (1, -1, 1))
         hset = HypothesisSet((table_function(pts, (1, -1, 1)),))
         res = correlation_cover_check(hset, (f, f.negate()), pts, 0.5)
         assert res.covered and res.witness is None
 
     def test_empty_set_never_covers(self):
         pts = three_points()
-        f = Explicit.from_support(pts, (1, -1, 1))
+        f = Explicit(pts, (1, -1, 1))
         res = correlation_cover_check(HypothesisSet(()), (f,), pts, 0.5)
         assert not res.covered
         target, cert = res.witness
@@ -420,7 +420,7 @@ class LabelBlindDriver:
         return None
 
     def result(self):
-        return Explicit.from_support(self._points,
+        return Explicit(self._points,
                                      (1,) * len(self._points))
 
 
@@ -443,7 +443,7 @@ class TestNegationFooling:
     def test_probing_target_itself_finds_nothing(self):
         pts = tuple(embed_hypercube([a, b]) for a in (0, 1) for b in (0, 1))
         f_labels = (1, -1, -1, 1)
-        f = Explicit.from_support(pts, f_labels)
+        f = Explicit(pts, f_labels)
 
         def factory():
             return SingleProbeDriver(pts, f_labels, tau=0.5)
@@ -454,7 +454,7 @@ class TestNegationFooling:
 
     def test_label_blind_driver_fooled_trivially(self):
         pts = tuple(embed_hypercube([a, b]) for a in (0, 1) for b in (0, 1))
-        f = Explicit.from_support(pts, (1, -1, -1, 1))
+        f = Explicit(pts, (1, -1, -1, 1))
         rep = negation_fooling_demo(lambda: LabelBlindDriver(pts),
                                     (f, f.negate()), pts, 2)
         assert rep.found
@@ -463,7 +463,7 @@ class TestNegationFooling:
 
     def test_open_class_rejected(self):
         pts = tuple(embed_hypercube([a, b]) for a in (0, 1) for b in (0, 1))
-        f = Explicit.from_support(pts, (1, -1, -1, 1))
+        f = Explicit(pts, (1, -1, -1, 1))
         with pytest.raises(PreconditionError):
             negation_fooling_demo(lambda: LabelBlindDriver(pts), (f,), pts, 2)
 
@@ -480,13 +480,20 @@ class TestNegationFooling:
 
     def test_adaptive_driver_rejected(self):
         pts = tuple(embed_hypercube([a, b]) for a in (0, 1) for b in (0, 1))
-        f = Explicit.from_support(pts, (1, -1, -1, 1))
+        f = Explicit(pts, (1, -1, -1, 1))
 
         def factory():
             return AdaptiveDriver(pts, (1, 1, 1, -1), tau=0.5)
 
         with pytest.raises(PreconditionError):
             negation_fooling_demo(factory, (f, f.negate()), pts, 2)
+
+    def test_shipped_domain_is_the_cube_in_a_major_order(self):
+        _, _, pts, _ = make_shipped_negation_demo(0)
+        expected = [embed_hypercube([a, b]).coords
+                    for a in (0, 1) for b in (0, 1)]
+        assert np.vstack([p.coords for p in pts]).tobytes() == \
+            np.vstack(expected).tobytes()
 
     def test_report_json_shape(self):
         rep = run_shipped_negation_demo(1)

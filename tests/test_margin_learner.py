@@ -43,7 +43,7 @@ from localsq.sq import ExactOracle, assert_label_non_adaptive, run_driver
 def single_example_source(x, label):
     p = Point(np.asarray(x, dtype=float))
     dist = FiniteDistribution([p], [1.0])
-    return LabeledSource(dist, Explicit.from_support([p], (label,)))
+    return LabeledSource(dist, Explicit([p], (label,)))
 
 
 def grad_f1(w, ask, params, per_coord_tol):
@@ -65,8 +65,7 @@ def loop_surrogate(w, src, gamma):
     w = np.asarray(w, dtype=float)
     d = w.shape[0]
     total = 0.0
-    for point, prob, label in zip(src.dist.support, src.dist.probs, src.labels):
-        x = point.coords
+    for x, prob, label in zip(src.dist.matrix, src.dist.probs, src.labels):
         val = 0.0
         for i in range(d):
             e = np.zeros(d)
@@ -150,7 +149,7 @@ class TestGradF2:
     def test_paired_examples_give_zero(self):
         pts = [Point(np.array([0.6, 0.2])), Point(np.array([-0.6, -0.2]))]
         dist = FiniteDistribution(pts, [0.5, 0.5])
-        src = LabeledSource(dist, Explicit.from_support(pts, (1, 1)))
+        src = LabeledSource(dist, Explicit(pts, (1, 1)))
         params = SurrogateParams(gamma=0.2, alpha=0.1, dim=2)
         out = grad_f2(ExactOracle(src).ask, params, per_coord_tol=0.1)
         assert np.allclose(out, 0.0)
@@ -194,7 +193,7 @@ class TestGradF1:
         # +-x symmetry still cancels the expectation.
         pts = [Point(np.array([0.5, 0.0])), Point(np.array([-0.5, 0.0]))]
         dist = FiniteDistribution(pts, [0.5, 0.5])
-        src = LabeledSource(dist, Explicit.from_support(pts, (1, -1)))
+        src = LabeledSource(dist, Explicit(pts, (1, -1)))
         params = SurrogateParams(gamma=0.2, alpha=0.1, dim=2)
         out = grad_f1(np.zeros(2), ExactOracle(src).ask, params,
                       per_coord_tol=0.1)

@@ -35,8 +35,8 @@ from localsq.sq import (
 def loop_mean(src, fn):
     """Oracle: per-point expectation of fn(x, f(x)) by explicit loop."""
     total = 0.0
-    for point, prob, label in zip(src.dist.support, src.dist.probs, src.labels):
-        total += float(prob) * float(fn(point.coords, label))
+    for x, prob, label in zip(src.dist.matrix, src.dist.probs, src.labels):
+        total += float(prob) * float(fn(x, label))
     return total
 
 
@@ -45,7 +45,7 @@ def point_source(rows, labels, probs=None):
     if probs is None:
         probs = np.full(len(pts), 1.0 / len(pts))
     dist = FiniteDistribution(pts, probs)
-    return LabeledSource(dist, Explicit.from_support(pts, labels))
+    return LabeledSource(dist, Explicit(pts, labels))
 
 
 def correlation_query(weights, tau=0.1):
@@ -200,6 +200,16 @@ class TestPerturbingOracle:
         b = PerturbingOracle(src, "uniform", seed=9).ask(q, 0)
         assert a == b
 
+    def test_out_of_order_round_draws_nothing(self):
+        src = point_source([[0.5]], (1,))
+        q = StatQuery(fn=lambda X, y: X[:, 0], tau=0.1, label_dependent=False)
+        refused = PerturbingOracle(src, "uniform", seed=9)
+        twin = PerturbingOracle(src, "uniform", seed=9)
+        assert refused.ask(q, 1) == twin.ask(q, 1)
+        with pytest.raises(ProtocolError):
+            refused.ask(q, 0)
+        assert refused.ask(q, 1) == twin.ask(q, 1)
+
 
 class TestAdversarialOracle:
     def test_label_independent_query_answered_exactly(self):
@@ -273,6 +283,15 @@ class TestAdversarialOracle:
         assert len(oracle.transcript) == 1
         with pytest.raises(BudgetExceeded):
             oracle.ask(q, 0)
+
+    def test_out_of_order_round_changes_no_state(self):
+        src = point_source([[1.0], [-1.0]], (1, -1))
+        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=3))
+        q = StatQuery(fn=lambda X, y: X[:, 0], tau=0.5, label_dependent=False)
+        oracle.ask(q, 1)
+        with pytest.raises(ProtocolError):
+            oracle.ask(q, 0)
+        assert len(oracle.branches) == len(oracle.transcript) == 1
 
     @given(st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
