@@ -486,8 +486,7 @@ def _cmd_adversary(cfg: ExperimentConfig) -> None:
         found = not res.covered
         witness, certificate = res.witness if found else (None, None)
         if found:
-            witness_index = next(
-                i for i, t in enumerate(targets) if t is witness)
+            witness_index = next(i for i, t in enumerate(targets) if t is witness)
     report = {
         "command": "adversary-demo",
         "seed": cfg.seed,

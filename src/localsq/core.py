@@ -126,12 +126,9 @@ def point_rows(X) -> np.ndarray:
 
 
 class FiniteDistribution:
-    """Explicit distribution over finitely many distinct points.
-
-    The support is a matrix of rows or a sequence of Points, stored as the
-    checked matrix `point_rows` makes of it; or another distribution, whose
-    checked support is reused as it is.
-    """
+    """Explicit distribution over finitely many distinct points: the support
+    (rows or Points) is held as the checked matrix of `point_rows`, and a
+    distribution given as the support lends its matrix as it is."""
 
     def __init__(self, support, probs: Iterable[float]):
         matrix = (support.matrix if isinstance(support, FiniteDistribution)
@@ -294,8 +291,7 @@ class Explicit(TargetFunction):
         try:
             return np.array([self._table[k] for k in keys], dtype=float)
         except KeyError:
-            raise EvaluationError(
-                "function undefined on a queried point") from None
+            raise EvaluationError("function undefined on a queried point") from None
 
     def negate(self) -> "Explicit":
         flipped = Explicit.__new__(Explicit)

@@ -302,21 +302,26 @@ class AdversarialCertificate:
         }
 
 
+def _uniform(X) -> FiniteDistribution:
+    """The uniform distribution on the points X, or on X's support."""
+    if len(X) == 0:
+        raise PreconditionError("the point list is empty")
+    return FiniteDistribution(X, np.full(len(X), 1.0 / len(X)))
+
+
 def worst_correlation_distribution(f: TargetFunction, hset: HypothesisSet,
                                    X) -> AdversarialCertificate:
     """Distribution minimizing the worst |E_D[f h_i]| over the points X (a
-    matrix of rows or a sequence of Points).
+    matrix of rows, a sequence of Points, or a distribution on them).
 
     minimize t  s.t.  -t <= sum_x D(x) f(x) h_i(x) <= t  for every i,
     sum_x D(x) = 1, D >= 0. Uniform D is always feasible; optimality is
     certified through the duality gap.
     """
-    n = len(X)
-    if n == 0:
-        raise PreconditionError("the point list is empty")
+    domain = _uniform(X)
     if hset.m < 1:
         raise PreconditionError("need at least one hypothesis")
-    domain = FiniteDistribution(X, np.full(n, 1.0 / n))
+    n = len(domain)
     labels = np.asarray(f.labels_for(domain.matrix), dtype=float)
     H = hset.evaluate(domain.matrix)
     corr = H * labels  # row i holds f(x) h_i(x) over x
@@ -361,13 +366,13 @@ def correlation_cover_check(hset: HypothesisSet, targets, X,
     targets = tuple(targets)
     if not targets:
         raise PreconditionError("the target class is empty")
+    domain = _uniform(X)
     if hset.m == 0:
-        uniform = FiniteDistribution(X, np.full(len(X), 1.0 / len(X)))
-        cert = AdversarialCertificate(dist=uniform, value=0.0,
+        cert = AdversarialCertificate(dist=domain, value=0.0,
                                       target=targets[0])
         return CoverCheckResult(covered=False, witness=(targets[0], cert))
     for f in targets:
-        cert = worst_correlation_distribution(f, hset, X)
+        cert = worst_correlation_distribution(f, hset, domain)
         if cert.value < threshold:
             return CoverCheckResult(covered=False, witness=(f, cert))
     return CoverCheckResult(covered=True, witness=None)
@@ -443,7 +448,8 @@ def negation_fooling_demo(driver_factory, targets, X, m: int,
     targets = tuple(targets)
     if m < 1:
         raise PreconditionError("m must be at least 1")
-    _verify_negation_closed(targets, _as_rows(X))
+    domain = _uniform(X)
+    _verify_negation_closed(targets, domain.matrix)
     probe = driver_factory()
     queries = list(probe.begin())
     threshold = 1.0 / m
@@ -458,7 +464,7 @@ def negation_fooling_demo(driver_factory, targets, X, m: int,
                 "label-dependent queries must declare tolerance >= 1/m"
             )
     hset = HypothesisSet(tuple(decompose(q).h for q in label_dep))
-    cover = correlation_cover_check(hset, targets, X, threshold)
+    cover = correlation_cover_check(hset, targets, domain, threshold)
     if cover.covered:
         return NegationFoolingReport(
             found=False, certificate=None, answers_target=(),
@@ -497,10 +503,8 @@ class SingleProbeDriver:
         self._answer = None
 
     def begin(self):
-        probe = self._probe
-
-        def fn(X, y, probe=probe):
-            return y * probe.labels_for(X)
+        def fn(X, y):
+            return y * self._probe.labels_for(X)
 
         return [StatQuery(fn=fn, tau=self._tau, label_dependent=True,
                           name="probe")]
