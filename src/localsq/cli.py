@@ -31,7 +31,7 @@ from .core import DecisionList, Explicit, classification_error, \
     uniform_hypercube_source
 from .errors import LocalSqError, PreconditionError, ProtocolError, \
     SolverError
-from .ldp import compile_sq, compile_sq_to_ldp, ldp_channel
+from .ldp import ChannelOracle, compile_sq_to_ldp, ldp_channel
 from .lowerbound import HypothesisSet, correlation_cover_check, \
     run_shipped_negation_demo, solve_lp, table_function
 from .margin_learner import jl_dim, jl_map, learn_halfspace
@@ -187,31 +187,6 @@ def _emit_transcript(outdir: Path, transcript) -> Path:
 # The fixed probe protocol used by estimate-mean and compile-report.
 
 
-class FixedQueryDriver:
-    """Asks a preset query list in one round and returns the raw answers."""
-
-    def __init__(self, queries):
-        self._queries = list(queries)
-        if not self._queries:
-            raise PreconditionError("need at least one query")
-        self.max_queries = len(self._queries)
-        self._answers = None
-
-    def begin(self):
-        return list(self._queries)
-
-    def feed(self, answers):
-        if len(answers) != len(self._queries):
-            raise ProtocolError("answer count does not match the query list")
-        self._answers = tuple(float(a) for a in answers)
-        return None
-
-    def result(self):
-        if self._answers is None:
-            raise ProtocolError("run has not finished")
-        return self._answers
-
-
 def _probe_queries(t: int, tau: float) -> list:
     def probe(c: int, dep: bool):
         return (lambda X, y: y * X[:, c]) if dep else (lambda X, y: X[:, c])
@@ -229,15 +204,14 @@ def _probe_channel(cfg: ExperimentConfig):
     return ldp_channel(cfg.epsilon) if cfg.channel == "ldp" else ONE_BIT
 
 
-def _compiled_probe(cfg: ExperimentConfig, src, seed: int):
-    """Run the probe through the chosen channel; returns (answers, report)."""
-    driver = FixedQueryDriver(_probe_queries(cfg.queries, cfg.tau))
-    return compile_sq(driver, src, _probe_channel(cfg), cfg.tau, cfg.delta,
-                      seed)
+def _probe_oracle(cfg: ExperimentConfig, src, seed: int) -> ChannelOracle:
+    """The chosen channel, sized for the probe, as an oracle on src."""
+    return ChannelOracle(src, _probe_channel(cfg), cfg.queries, cfg.tau,
+                         cfg.delta, seed)
 
 
-def _exact_probe_answers(cfg: ExperimentConfig, src) -> list:
-    oracle = ExactOracle(src)
+def _probe_answers(oracle, cfg: ExperimentConfig) -> list:
+    """The oracle's answers to the probe, all asked in round 0."""
     return [oracle.ask(q, 0) for q in _probe_queries(cfg.queries, cfg.tau)]
 
 
@@ -375,9 +349,9 @@ def _cmd_estimate_mean(cfg: ExperimentConfig) -> None:
 
     def trial(i: int) -> float:
         src = _probe_source(derive_seed(cfg.seed, "estimate-source", i))
-        truth = _exact_probe_answers(cfg, src)
-        answers, _ = _compiled_probe(
-            cfg, src, derive_seed(cfg.seed, "estimate-channel", i))
+        truth = _probe_answers(ExactOracle(src), cfg)
+        answers = _probe_answers(_probe_oracle(
+            cfg, src, derive_seed(cfg.seed, "estimate-channel", i)), cfg)
         return max(abs(a - t) for a, t in zip(answers, truth))
 
     deviations = [trial(i) for i in range(cfg.trials)]
@@ -568,9 +542,9 @@ def _cmd_jl_check(cfg: ExperimentConfig) -> None:
 def _cmd_compile_report(cfg: ExperimentConfig) -> None:
     outdir = Path(cfg.out)
     src = _probe_source(derive_seed(cfg.seed, "compile-source"))
-    truth = _exact_probe_answers(cfg, src)
-    answers, proto = _compiled_probe(
-        cfg, src, derive_seed(cfg.seed, "compile-channel"))
+    truth = _probe_answers(ExactOracle(src), cfg)
+    proto = _probe_oracle(cfg, src, derive_seed(cfg.seed, "compile-channel"))
+    answers = _probe_answers(proto, cfg)
     schema = "ldp_report" if cfg.channel == "ldp" else "comm_report"
     _emit_json(outdir, "protocol_report.json", schema, proto.to_json())
     deviation = max(abs(a - t) for a, t in zip(answers, truth))

@@ -8,7 +8,7 @@ locally-private counterparts.
 
 from __future__ import annotations
 
-from .ldp import Channel, ProtocolReport, compile_sq
+from .ldp import Channel, ChannelOracle, compile_sq
 
 # An integer budget, so that reports carry "bits": 1.
 ONE_BIT = Channel(c=1.0, budget_key="bits", budget=1, hoeffding=2.0,
@@ -21,6 +21,6 @@ def comm_estimate_mean(S, span, phi, seed: int) -> float:
 
 
 def compile_sq_to_comm(driver, S, tau: float, delta: float,
-                       seed: int = 0) -> tuple[object, ProtocolReport]:
+                       seed: int = 0) -> tuple[object, ChannelOracle]:
     """compile_sq on the one-bit channel."""
     return compile_sq(driver, S, ONE_BIT, tau, delta, seed)

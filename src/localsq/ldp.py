@@ -7,16 +7,16 @@ pays for its bit, and the batch rule. The locally private channel has
 c = (e^eps - 1)/(e^eps + 1), so that the two possible outputs never differ
 in probability by more than a factor e^eps; the one-bit channel
 (`localsq.comm`) is the same simulation with c = 1. Averaging debiased bits
-over a fresh batch answers one statistical query; running a query driver
-against such batches turns any SQ algorithm into a protocol on the channel
-with the same round structure.
+over a fresh batch answers one statistical query, so a channel is an SQ
+oracle (`ChannelOracle`); running a query driver against it turns any SQ
+algorithm into a protocol on the channel with the same round structure.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from ._rng import derive_seed, generator
 from .core import LabeledSource, SampleStream
 from .errors import BudgetExceeded, PreconditionError, SizingError
-from .sq import InteractivityTranscript, StatQuery, \
-    checked_values, evaluate_block, run_driver
+from .sq import StatQuery, TranscriptingOracle, checked_values, \
+    evaluate_block, run_driver
 
 CHARGE_TOL = 1e-12
 
@@ -196,7 +196,7 @@ class PrivacyLedger:
     infinity and holds 0. Memory is O(#breakpoints) however many clients a
     span covers. A charge bisects to the pieces its span covers, so it and
     a `spent` lookup cost O(log n) plus the pieces touched; the disjoint,
-    increasing spans `compile_sq` charges cost two bisects and an append.
+    increasing spans a `ChannelOracle` charges cost two bisects and an append.
     A one-client charge is a one-index span.
     """
 
@@ -258,19 +258,49 @@ class PrivacyLedger:
             levels[k] += amount
 
 
-@dataclass
-class ProtocolReport:
-    """Round structure, sample usage, and the transcript of a compiled run.
+class ChannelOracle(TranscriptingOracle):
+    """A channel answering as an SQ oracle of tolerance tau, w.p. 1 - delta.
 
-    The transcript is the same record the SQ oracles keep: one record per
-    answered block, tagged with its round and label flag.
+    Budgeting reserves t batches up front, each sized so that with
+    probability at least 1 - delta all t answers are within tau of their
+    means. Every query coordinate is answered on its own contiguous batch
+    of previously-untouched clients, so each client sends exactly one
+    message and spends the channel's budget once. A block of width w is
+    range checked on the support, charged as one ledger span of w batches
+    and answered with one `stream_estimates` draw seeded by its first
+    coordinate's index. A query past the bound of t, or asking for a
+    tolerance finer than tau, is refused unasked. The label_dependent flag
+    is trusted, not checked on the support.
     """
 
-    samples_used: int
-    channel: Channel
-    transcript: InteractivityTranscript = field(
-        default_factory=InteractivityTranscript)
-    ledger: PrivacyLedger | None = None
+    def __init__(self, source: LabeledSource, channel: Channel, t: int,
+                 tau: float, delta: float, seed: int = 0):
+        super().__init__()
+        self.source, self.channel, self.seed = source, channel, seed
+        self.t, self.tau = int(t), tau
+        self.batch = channel.batch_size(self.t, tau, delta)
+        self.ledger = PrivacyLedger(cap=channel.budget)
+        self.samples_used = 0
+
+    def _answer(self, q: StatQuery) -> np.ndarray:
+        first = len(self.transcript)
+        if first + q.width > self.t:
+            raise BudgetExceeded(
+                f"driver exceeded its declared bound of {self.t} queries")
+        if q.tau < self.tau:
+            raise PreconditionError(
+                f"query tolerance {q.tau!r} is finer than the channel's "
+                f"{self.tau!r}")
+        start = self.samples_used
+        stop = start + q.width * self.batch
+        # Every value is checked before the ledger or transcript moves.
+        block = evaluate_block(q, self.source.dist.matrix, self.source.labels)
+        self.ledger.charge_span(start, stop, self.channel.budget)
+        answers = self.channel.stream_estimates(
+            self.source.dist.probs, block, self.batch,
+            derive_seed(self.seed, self.channel.seed_label, first))
+        self.samples_used = stop
+        return answers
 
     @property
     def rounds(self) -> int:
@@ -292,57 +322,28 @@ class ProtocolReport:
 
 
 def compile_sq(driver, S, channel: Channel, tau: float, delta: float,
-               seed: int = 0) -> tuple[object, ProtocolReport]:
-    """Run an SQ driver against fresh-batch estimates on a channel.
+               seed: int = 0) -> tuple[object, ChannelOracle]:
+    """Run an SQ driver against a `ChannelOracle` sized for its bound.
 
-    Every query coordinate is answered on its own contiguous batch of
-    previously-untouched clients, so each client sends exactly one message
-    and spends the channel's budget once. A block of width w is range
-    checked on the support, charged as one span of w batches and answered
-    with one `stream_estimates` draw seeded by its first coordinate's
-    index. Budgeting reserves t = driver.max_queries batches up front; with
-    probability at least 1 - delta every answer is within tau of the true
-    mean. S is a LabeledSource, read as a stream of exactly t batches, or a
-    SampleStream of at least t batches; only its source and length matter.
-    The rounds are `run_driver`'s and the transcript records each answer
-    under its round, so a driver that asks everything at once compiles to a
-    one-round protocol. A query past the declared bound is refused unasked.
+    The oracle reserves t = driver.max_queries batches. S is a
+    LabeledSource, read as a stream of exactly t batches, or a SampleStream
+    of at least t batches; only its source and length matter. The rounds
+    are `run_driver`'s, so a driver that asks everything at once compiles
+    to a one-round protocol. Returns the driver's result and the oracle.
     """
-    t = int(driver.max_queries)
-    batch = channel.batch_size(t, tau, delta)
-    need = t * batch
-    source, n = (S, need) if isinstance(S, LabeledSource) else (S.source, len(S))
-    if n < need:
-        raise SizingError(
-            f"need {need} samples ({t} queries x batch {batch}), have {n}",
-            required=need,
-        )
-    ledger = PrivacyLedger(cap=channel.budget)
-    report = ProtocolReport(samples_used=0, channel=channel, ledger=ledger)
-
-    def ask(q: StatQuery, round_index: int) -> list[float]:
-        first = len(report.transcript)
-        if first + q.width > t:
-            raise BudgetExceeded(
-                f"driver exceeded its declared bound of {t} queries")
-        start = report.samples_used
-        stop = start + q.width * batch
-        # Every value is checked before the ledger or transcript moves.
-        block = evaluate_block(q, source.dist.matrix, source.labels)
-        ledger.charge_span(start, stop, channel.budget)
-        answers = channel.stream_estimates(
-            source.dist.probs, block, batch,
-            derive_seed(seed, channel.seed_label, first)).tolist()
-        report.transcript.append(round_index, q.label_dependent, tau, answers)
-        report.samples_used = stop
-        return answers
-
-    run_driver(driver, ask)
-    return driver.result(), report
+    labeled = isinstance(S, LabeledSource)
+    oracle = ChannelOracle(S if labeled else S.source, channel,
+                           driver.max_queries, tau, delta, seed)
+    need = oracle.t * oracle.batch
+    if not labeled and len(S) < need:
+        raise SizingError(f"need {need} samples ({oracle.t} queries x batch "
+                          f"{oracle.batch}), have {len(S)}", required=need)
+    run_driver(driver, oracle.ask)
+    return driver.result(), oracle
 
 
 def compile_sq_to_ldp(driver, S, epsilon: float, tau: float, delta: float,
-                      seed: int = 0) -> tuple[object, ProtocolReport]:
+                      seed: int = 0) -> tuple[object, ChannelOracle]:
     """compile_sq on the epsilon-locally-private channel."""
     return compile_sq(driver, S, ldp_channel(epsilon), tau, delta, seed)
 

@@ -216,7 +216,7 @@ def table_function(points, values):
     table = np.asarray(values, dtype=float).reshape(-1)
     if not len(rows) or table.size != len(rows):
         raise PreconditionError("need one value for each of at least one point")
-    if (np.abs(table) > 1.0 + 1e-12).any():
+    if not np.abs(table).max() <= 1.0 + 1e-12:  # NaN fails this test too
         raise PreconditionError("table values must lie in [-1, 1]")
     width = rows.shape[1]
     if width == 0:
@@ -265,7 +265,7 @@ class HypothesisSet:
         H = np.vstack([np.asarray(h(X), dtype=float) for h in self.functions])
         if H.shape != (self.m, X.shape[0]):
             raise ContractViolation("hypothesis returned a wrong-shaped batch")
-        if np.max(np.abs(H)) > 1.0 + 1e-12:
+        if not np.max(np.abs(H)) <= 1.0 + 1e-12:  # so does NaN
             raise ContractViolation("hypothesis value outside [-1, 1]")
         return H
 

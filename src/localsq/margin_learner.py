@@ -28,7 +28,7 @@ from .core import (
     signp,
 )
 from .errors import PreconditionError, ProtocolError
-from .ldp import ProtocolReport, compile_sq_to_ldp
+from .ldp import ChannelOracle, compile_sq_to_ldp
 from .sq import (
     ExactOracle,
     InteractivityTranscript,
@@ -374,7 +374,7 @@ class HalfspaceRunInfo:
     projected: bool
     learner: LearnerReport
     transcript: InteractivityTranscript
-    protocol_report: ProtocolReport | None = None
+    protocol_report: ChannelOracle | None = None
 
     @property
     def rounds(self) -> int:

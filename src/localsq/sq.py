@@ -8,12 +8,14 @@ coordinates of a gradient, which is one mean vector: its fn returns an
 for all k coordinates. Budgets still count coordinates: an oracle answers
 a block with k answers and a driver is fed one answer per coordinate. A
 transcript holds one record per answered block, and only this module knows
-its format; readers that count coordinates expand it. Three oracles
-live here: the exact oracle (answers with the true mean), a perturbing
-oracle exercising worst-case-but-valid answer policies, and an adversarial
-oracle that hides the labels of weakly-correlated queries. A transcript
-records every answered query with its interaction round so that
-label-non-adaptivity is a checkable property of a run, not a promise.
+its format; readers that count coordinates expand it. Four oracles share
+one `TranscriptingOracle.ask`, which answers and records every query: the
+exact oracle (the true mean), a perturbing oracle exercising
+worst-case-but-valid answer policies, an adversarial oracle that hides
+the labels of weakly-correlated queries, and the compiled channel,
+`localsq.ldp.ChannelOracle`. A transcript records each answer with its
+interaction round so that label-non-adaptivity is a checkable property of
+a run, not a promise.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def checked_values(values, shape: tuple) -> np.ndarray:
     if values.shape != shape:
         raise ContractViolation("query fn returned a wrong-shaped batch")
     worst = float(np.abs(values).max()) if values.size else 0.0
-    if worst > 1.0 + RANGE_TOL:
+    if not worst <= 1.0 + RANGE_TOL:  # NaN fails this test too
         raise ContractViolation(f"query value {worst:.6g} outside [-1, 1]")
     return values
 
@@ -224,8 +226,8 @@ def _column_means(src: LabeledSource, values: np.ndarray) -> np.ndarray:
     return np.array([probs @ col for col in np.ascontiguousarray(values.T)])
 
 
-class _TranscriptingOracle:
-    """Common answer bookkeeping for the concrete oracles."""
+class TranscriptingOracle:
+    """Answer bookkeeping shared by every oracle; subclasses give _answer."""
 
     def __init__(self):
         self.transcript = InteractivityTranscript()
@@ -242,7 +244,7 @@ class _TranscriptingOracle:
         raise NotImplementedError
 
 
-class ExactOracle(_TranscriptingOracle):
+class ExactOracle(TranscriptingOracle):
     """Answers every query with its exact mean under the source."""
 
     def __init__(self, src: LabeledSource):
@@ -257,7 +259,7 @@ class ExactOracle(_TranscriptingOracle):
 PERTURBATION_POLICIES = ("grid", "plus_tau", "minus_tau", "uniform")
 
 
-class PerturbingOracle(_TranscriptingOracle):
+class PerturbingOracle(TranscriptingOracle):
     """Valid-but-unhelpful oracle: answers within tau of the mean, per policy.
 
     grid      snap the exact mean to the nearest multiple of tau
@@ -303,7 +305,7 @@ class AdversarialOracleConfig:
             raise PreconditionError("query budget must be >= 1")
 
 
-class AdversarialOracle(_TranscriptingOracle):
+class AdversarialOracle(TranscriptingOracle):
     """Answers label-blind whenever the query barely correlates with the target.
 
     Each query is split as g(x) + y*h(x). If the target-correlation

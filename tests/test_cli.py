@@ -556,7 +556,10 @@ class TestDeterminism:
 # block queries; the change kept every byte. The four private runs on a
 # sample stream were re-recorded when a stream span's +1 count became one
 # Binomial(n, q) draw; the two learn-halfspace ones again when a block's
-# counts came to be drawn from one seed. The figures hold for IEEE doubles
+# counts came to be drawn from one seed. The three private learn-halfspace
+# runs were re-recorded when compiled runs began to write each query's own
+# scale: hypothesis and results kept their bytes, and dropping the scale
+# keys gives back the earlier records. The figures hold for IEEE doubles
 # and the numpy/BLAS builds this was recorded with.
 GOLDEN_DIGESTS = {
     "learn-halfspace-exact": (["learn-halfspace", "--seed", "0"], {
@@ -567,17 +570,17 @@ GOLDEN_DIGESTS = {
     }),
     "learn-halfspace-ldp": (["learn-halfspace", "--oracle", "ldp", "--d",
                              "10", "--seed", "0"], {
-        "halfspace_report.json": "f33a528377e0df7f4d49b29bbd97d271c0216d293e7e18eb80e34ab547f1700c",
+        "halfspace_report.json": "0b14c4801dbb24809ee16251c2c027cb7e0644dbfe074858f9e726af82978561",
         "hypothesis.json": "ad2d92dd40575d7ed07f2cd7e8f4c4ac669809881e3da16e6eec693f8bebf197",
         "results.csv": "d316c9c7cbfc15c8267297d7b8624a1c335500accf4bd8960ce2ce362a47219f",
-        "transcript.jsonl": "758a687a0de1cf531eb1b6466da9d805dfb390611a5efd14915c26b8940d25b4",
+        "transcript.jsonl": "d6fa55b0c7820634df0862212de0c66ce5ae39a01090c8010f94c71fafa32a09",
     }),
     "learn-halfspace-comm": (["learn-halfspace", "--oracle", "comm", "--d",
                               "10", "--seed", "0"], {
-        "halfspace_report.json": "fdba51e4cd99e7d66c5c30d78e5884af93686b686c0f86b2262271c1942b9268",
+        "halfspace_report.json": "a97b457bb9e856d6d8b7bff47af37109f59a48b1dd25d6d8fe194e03e464d8fe",
         "hypothesis.json": "f746f7acfa03968bdc1087a798158372f551db1a50060f87f717f1594cb9779c",
         "results.csv": "afcf16db8d3275438a5dc6128853639aa29bbc5ca5d460307f7c364dcbed572c",
-        "transcript.jsonl": "6c995e417ebe6a036e9a1d7d09e34b244577bd99dce717269b20a0f1ef1a81be",
+        "transcript.jsonl": "f1235f25b42c9738376f9acbab1c576b7f1c8801882de639828e43d6eeac0620",
     }),
     "learn-halfspace-known": (["learn-halfspace", "--mode",
                                "known_distribution", "--seed", "0"], {
@@ -589,10 +592,10 @@ GOLDEN_DIGESTS = {
     "learn-halfspace-known-ldp": (["learn-halfspace", "--mode",
                                    "known_distribution", "--oracle", "ldp",
                                    "--d", "10", "--seed", "0"], {
-        "halfspace_report.json": "c26e23790bec4940bde8a8477bd0cffbe1d92159e08c6cb76ad39abe6cbca8b8",
+        "halfspace_report.json": "b1dbd74b6d2aad5542ef6de218d7997bc4e260644504a80c4ac17e962baf1db6",
         "hypothesis.json": "5f85c746dc03187131a3785beb95e74dbf4259faf6e2d6bef3400f4f4bac2a59",
         "results.csv": "864faea40b505d6476e3a2a8071ad4909ced3e4f2211f7238a642d0a7514ab86",
-        "transcript.jsonl": "949182cfcb8404c694eb1ef713703c12067884d02c9a7940490dda9516ed397e",
+        "transcript.jsonl": "77577c5052720824d7c6fe893bda18eff853763f07dd5be25bc26d6992fab4b0",
     }),
     "compile-report-comm": (["compile-report", "--channel", "comm", "--seed",
                              "0"], {

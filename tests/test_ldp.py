@@ -31,9 +31,9 @@ from localsq.errors import (
     SizingError,
 )
 from localsq.ldp import (
+    ChannelOracle,
     LocalRandomizer,
     PrivacyLedger,
-    ProtocolReport,
     compile_sq,
     compile_sq_to_ldp,
     ldp_batch_size,
@@ -83,12 +83,12 @@ class TwoRoundDriver:
         self._answers = []
 
     def begin(self):
-        return [StatQuery(fn=first_coord, tau=0.1, label_dependent=False)]
+        return [StatQuery(fn=first_coord, tau=0.2, label_dependent=False)]
 
     def feed(self, answers):
         self._answers.extend(answers)
         if len(self._answers) == 1:
-            return [StatQuery(fn=first_coord, tau=0.1, label_dependent=False)]
+            return [StatQuery(fn=first_coord, tau=0.2, label_dependent=False)]
         return None
 
     def result(self):
@@ -593,9 +593,33 @@ class TestCompileToLdp:
         assert runs[0] == runs[1] == runs[2]
 
     def test_report_json_shape(self):
-        report = ProtocolReport(samples_used=10, channel=ldp_channel(0.5))
+        _, report = compile_sq(TwoRoundDriver(), two_point_source(),
+                               ldp_channel(0.5), 0.2, 0.2)
         assert set(report.to_json()) == {"rounds", "n", "epsilon", "queries"}
         assert report.to_json()["epsilon"] == 0.5
+
+    @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
+                             ids=["ldp", "one-bit"])
+    def test_query_finer_than_compiled_tau_refused_unasked(self, channel):
+        # The batches were sized for the compiled tau, so a query asking
+        # for less is refused before the ledger, the sample count or the
+        # transcript moves; an equal or coarser one is answered.
+        q = StatQuery(fn=first_coord, tau=0.2, label_dependent=False)
+        fine = StatQuery(fn=first_coord, tau=0.19, label_dependent=False)
+        driver = ScriptedDriver([[q], [fine]], max_queries=3)
+        with pytest.raises(PreconditionError):
+            compile_sq(driver, two_point_source(), channel, 0.2, 0.2)
+        oracle = ChannelOracle(two_point_source(), channel, 3, 0.2, 0.2)
+        oracle.ask(q, 0)
+        before = (oracle.samples_used, oracle.ledger.per_index_spent,
+                  oracle.transcript.records())
+        with pytest.raises(PreconditionError):
+            oracle.ask(fine, 1)
+        assert (oracle.samples_used, oracle.ledger.per_index_spent,
+                oracle.transcript.records()) == before
+        coarse = StatQuery(fn=first_coord, tau=0.3, label_dependent=False)
+        oracle.ask(coarse, 1)
+        assert [r["tau"] for r in oracle.queries] == [0.2, 0.3]
 
 
 class TestChannel:

@@ -25,6 +25,7 @@ from localsq.core import (
     random_decision_list,
 )
 from localsq.errors import (
+    ContractViolation,
     EvaluationError,
     PreconditionError,
     ProtocolError,
@@ -247,6 +248,18 @@ class TestTableFunction:
             table_function((a, Point(np.array([0.1, 0.2, 0.3]))), (1, 1))
         with pytest.raises(PreconditionError):
             table_function((Point(np.array([])),), (1,))
+
+    def test_nan_value_refused(self):
+        a, b = self.points()
+        with pytest.raises(PreconditionError):
+            table_function((a, b), (np.nan, 0.5))
+
+    def test_hypothesis_set_refuses_nan_values(self):
+        a, b = self.points()
+        hset = HypothesisSet((table_function((a, b), (1, -1)),
+                              lambda X: np.full(X.shape[0], np.nan)))
+        with pytest.raises(ContractViolation):
+            hset.evaluate(np.vstack([a.coords, b.coords]))
 
 
 class TestWorstCorrelationDistribution:

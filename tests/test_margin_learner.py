@@ -21,7 +21,9 @@ from localsq.core import (
     classification_error,
     make_margin_source,
 )
+from localsq.comm import ONE_BIT
 from localsq.errors import PreconditionError, ProtocolError
+from localsq.ldp import compile_sq, ldp_channel
 from localsq.margin_learner import (
     HalfspaceDriver,
     HalfspaceHypothesis,
@@ -394,6 +396,35 @@ class TestKnownDistributionDriver:
         assert all(e.label_dependent for e in oracle.transcript.entries)
         assert driver.iteration == 7
         assert np.linalg.norm(driver.result()) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
+                             ids=["ldp", "one-bit"])
+    @pytest.mark.parametrize("known", [True, False],
+                             ids=["known", "distribution-free"])
+    def test_channel_records_blocks_as_the_exact_oracle(self, channel, known):
+        # Every block is recorded with its query's own tau and scale,
+        # whichever oracle answered it.
+        src = make_margin_source(5, 0.3, 20, seed=6)
+        params = SurrogateParams(gamma=0.3, alpha=0.1, dim=5)
+        settings = PsgdSettings(iterations=3)
+
+        def driver():
+            if known:
+                return KnownDistributionDriver(params, settings,
+                                               src.dist.matrix, src.dist.probs)
+            return HalfspaceDriver(params, settings)
+
+        def blocks(transcript):
+            return [(b.round, b.label_dependent, b.tolerance, b.scale,
+                     len(b.answers)) for b in transcript.blocks]
+
+        exact = ExactOracle(src)
+        run_driver(driver(), exact.ask)
+        compiled_driver = driver()
+        _, compiled = compile_sq(compiled_driver, src, channel,
+                                 compiled_driver.tau, 0.1)
+        assert blocks(compiled.transcript) == blocks(exact.transcript)
+        assert -10.0 in {b.scale for b in exact.transcript.blocks}
 
     def test_result_before_feed_refused(self):
         _, driver = self.make()

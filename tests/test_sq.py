@@ -135,6 +135,17 @@ class TestExactOracle:
         with pytest.raises(ContractViolation):
             oracle.ask(q, 0)
 
+    def test_nan_value_raises_and_records_nothing(self):
+        # NaN compares false with everything, so a range check written as
+        # "worst > 1" would pass it into the transcript.
+        src = point_source([[1.0], [-1.0]], (1, -1))
+        oracle = ExactOracle(src)
+        q = StatQuery(fn=lambda X, y: np.where(X[:, 0] > 0, np.nan, 0.5),
+                      tau=0.1, label_dependent=False)
+        with pytest.raises(ContractViolation):
+            oracle.ask(q, 0)
+        assert len(oracle.transcript) == 0
+
     def test_understated_dependence_rejected(self):
         src = point_source([[1.0], [-1.0]], (1, -1))
         oracle = ExactOracle(src)
