@@ -176,11 +176,9 @@ def _emit_json(outdir: Path, name: str, schema: str, obj) -> Path:
 
 
 def _emit_transcript(outdir: Path, transcript) -> Path:
-    lines = []
-    for obj in transcript.records():
-        validate_artifact("transcript_entry", obj)
-        lines.append(json.dumps(obj, sort_keys=True) + "\n")
-    return _write(outdir, "transcript.jsonl", "".join(lines))
+    for block in transcript.blocks:  # its lines are the block's expansion
+        validate_artifact("transcript_block", block.to_json())
+    return _write(outdir, "transcript.jsonl", transcript.to_jsonl())
 
 
 # ---------------------------------------------------------------------------

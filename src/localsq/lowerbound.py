@@ -265,7 +265,7 @@ class HypothesisSet:
         H = np.vstack([np.asarray(h(X), dtype=float) for h in self.functions])
         if H.shape != (self.m, X.shape[0]):
             raise ContractViolation("hypothesis returned a wrong-shaped batch")
-        if not np.max(np.abs(H)) <= 1.0 + 1e-12:  # so does NaN
+        if H.size and not np.max(np.abs(H)) <= 1.0 + 1e-12:  # so does NaN
             raise ContractViolation("hypothesis value outside [-1, 1]")
         return H
 

@@ -71,6 +71,12 @@ TRANSCRIPT_ENTRY = _obj(
     required=["round", "label_dep", "tau", "answer"],
 )
 
+TRANSCRIPT_BLOCK = _obj(
+    {"round": _INT0, "label_dep": _BOOL, "tau": _POS, "scale": _NUM,
+     "answers": _VEC | {"minItems": 1}},
+    required=["round", "label_dep", "tau", "answers"],
+)
+
 _QUERY_LOG = {"type": "array", "items": TRANSCRIPT_ENTRY}
 
 LDP_REPORT = _obj({
@@ -264,6 +270,7 @@ SCHEMAS = {
     "config": CONFIG,
     "target": TARGET,
     "transcript_entry": TRANSCRIPT_ENTRY,
+    "transcript_block": TRANSCRIPT_BLOCK,
     "ldp_report": LDP_REPORT,
     "comm_report": COMM_REPORT,
     "hypothesis": HYPOTHESIS,

@@ -117,18 +117,6 @@ class TranscriptEntry:
     answer: float
     scale: float = 1.0
 
-    def to_json(self) -> dict:
-        """The entry as one transcript line's record; scale only when not 1."""
-        obj = {
-            "round": self.round,
-            "label_dep": self.label_dependent,
-            "tau": self.tolerance,
-            "answer": self.answer,
-        }
-        if self.scale != 1.0:
-            obj["scale"] = self.scale
-        return obj
-
 
 class TranscriptBlock(NamedTuple):
     """One answered ask: its answers share round, label flag, tau and scale."""
@@ -138,6 +126,16 @@ class TranscriptBlock(NamedTuple):
     tolerance: float
     answers: tuple[float, ...]
     scale: float
+
+    def shared(self) -> dict:
+        """The fields every line of the block carries; scale only when not 1."""
+        scale = {} if self.scale == 1.0 else {"scale": self.scale}
+        return {"label_dep": self.label_dependent, "round": self.round,
+                "tau": self.tolerance} | scale
+
+    def to_json(self) -> dict:
+        """The block as one object, checked against transcript_block."""
+        return self.shared() | {"answers": list(self.answers)}
 
 
 class InteractivityTranscript:
@@ -182,11 +180,18 @@ class InteractivityTranscript:
         return 0 if not self.blocks else self.blocks[-1].round + 1
 
     def records(self) -> list[dict]:
-        return [e.to_json() for e in self.entries]
+        return [{"answer": a, **b.shared()} for b in self.blocks
+                for a in b.answers]
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(obj, sort_keys=True) + "\n"
-                       for obj in self.records())
+        """The records as sorted-key JSON lines: "answer" sorts first, so a
+        block's other fields are serialised once, as its lines' tail."""
+        lines = []
+        for b in self.blocks:
+            tail = ", " + json.dumps(b.shared(), sort_keys=True)[1:] + "\n"
+            lines.extend('{"answer": ' + json.dumps(a) + tail
+                         for a in b.answers)
+        return "".join(lines)
 
 
 def assert_label_non_adaptive(t: InteractivityTranscript) -> bool:

@@ -16,10 +16,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from localsq import schemas
 from localsq.cli import COMMANDS, ExperimentConfig, _build_config, \
-    _build_parser, main, separation_experiment
+    _build_parser, _emit_transcript, main, separation_experiment
+from localsq.core import make_margin_source
 from localsq.errors import ContractViolation, PreconditionError
 from localsq.schemas import SCHEMAS, validate_artifact, validate_config
+from localsq.sq import ExactOracle, StatQuery
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -272,6 +275,28 @@ class TestLearnHalfspace:
         assert report["epsilon"] == 1.0
         dep_rounds = {q["round"] for q in proto["queries"] if q["label_dep"]}
         assert dep_rounds == {0}
+
+    def test_transcript_refused_block_writes_nothing(self, tmp_path):
+        oracle = ExactOracle(make_margin_source(3, 0.2, 6, seed=0))
+        oracle.ask(StatQuery(fn=lambda X, y: y * X[:, 0], tau=0.1,
+                             label_dependent=1), 0)
+        with pytest.raises(ContractViolation):
+            _emit_transcript(tmp_path, oracle.transcript)
+        assert not (tmp_path / "transcript.jsonl").exists()
+
+    def test_transcript_checked_once_per_block(self, tmp_path, monkeypatch):
+        names = []
+        original = schemas.validate
+
+        def counting(name, *args):
+            names.append(name)
+            return original(name, *args)
+
+        monkeypatch.setattr(schemas, "validate", counting)
+        assert main(["learn-halfspace", "--out", str(tmp_path)]) == 0
+        assert names.count("transcript_block") == 301
+        assert "transcript_entry" not in names
+        assert len(read_lines(tmp_path, "transcript.jsonl")) == 6020
 
 
 class TestLearnDl:
@@ -727,6 +752,17 @@ class TestValidation:
             validate_artifact(name, MALFORMED[name])
         assert str(info.value) == (
             f"artifact does not match the {name} schema: {expected}")
+
+    @pytest.mark.parametrize("change", [
+        {"answers": []}, {"answers": [0.5, "0.25"]}, {"label_dep": 1},
+        {"tau": 0.0}, {"round": -1}, {"answer": 0.5},
+    ])
+    def test_malformed_transcript_block_refused(self, change):
+        block = {"round": 0, "label_dep": True, "tau": 0.1, "scale": -6.0,
+                 "answers": [0.5, -0.25]}
+        validate_artifact("transcript_block", block)
+        with pytest.raises(ContractViolation):
+            validate_artifact("transcript_block", block | change)
 
     def test_malformed_config_refused_as_before(self):
         expected = jsonschema_message("config", MALFORMED["config"])

@@ -261,6 +261,17 @@ class TestTableFunction:
         with pytest.raises(ContractViolation):
             hset.evaluate(np.vstack([a.coords, b.coords]))
 
+    def test_hypothesis_set_on_an_empty_batch(self):
+        a, _ = self.points()
+        hset = HypothesisSet((lambda X: np.zeros(X.shape[0]),
+                              table_function((a,), (1,))))
+        out = hset.evaluate(np.zeros((0, 2)))
+        assert out.shape == (2, 0)
+        # An out-of-range or NaN value is still refused on a non-empty batch.
+        with pytest.raises(ContractViolation):
+            HypothesisSet((lambda X: np.full(X.shape[0], np.nan),)).evaluate(
+                np.zeros((1, 2)))
+
 
 class TestWorstCorrelationDistribution:
     def test_self_set_has_value_one(self):

@@ -4,6 +4,8 @@ Derived values come from plain-loop expectation oracles or hand arithmetic
 frozen as literals; invariants run as hypothesis property tests.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from localsq.core import (
     make_margin_source,
 )
 from localsq.errors import BudgetExceeded, ContractViolation, ProtocolError
+from localsq.schemas import validate_artifact
 from localsq.sq import (
     AdversarialOracle,
     AdversarialOracleConfig,
@@ -365,10 +368,9 @@ class TestTranscript:
             t.append(0, False, 0.1, [0.0])
 
     def test_jsonl_keys(self):
-        import json as json_mod
         t = InteractivityTranscript()
         t.append(0, True, 0.1, [0.5])
-        obj = json_mod.loads(t.to_jsonl().splitlines()[0])
+        obj = json.loads(t.to_jsonl().splitlines()[0])
         assert set(obj) == {"round", "label_dep", "tau", "answer"}
 
     @given(
@@ -394,6 +396,45 @@ class TestTranscript:
         assert len(blocked) == len(scalar) == sum(len(b[4]) for b in blocks)
         assert blocked.rounds_used() == scalar.rounds_used()
         assert blocked.entries == scalar.entries
+
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.booleans(),
+                st.floats(min_value=0, exclude_min=True,
+                          allow_infinity=False),
+                st.one_of(st.just(1.0), st.floats(allow_nan=False,
+                                                  allow_infinity=False)),
+                st.lists(st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308])),
+                    min_size=1, max_size=8),
+            ),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_expansion_is_the_per_line_transcript(self, blocks):
+        # The reference is the per-entry record and serialisation that
+        # transcript.jsonl was written from line by line.
+        t, rnd = InteractivityTranscript(), 0
+        for step, dep, tau, scale, answers in blocks:
+            rnd += step
+            t.append(rnd, dep, tau, answers, scale)
+        expected = [
+            {"round": e.round, "label_dep": e.label_dependent,
+             "tau": e.tolerance, "answer": e.answer}
+            | ({} if e.scale == 1.0 else {"scale": e.scale})
+            for e in t.entries
+        ]
+        assert t.records() == expected
+        assert t.to_jsonl() == "".join(json.dumps(r, sort_keys=True) + "\n"
+                                       for r in expected)
+        # Every schema-valid block expands to lines that each validate.
+        for b in t.blocks:
+            validate_artifact("transcript_block", b.to_json())
+        for line in t.to_jsonl().splitlines():
+            validate_artifact("transcript_entry", json.loads(line))
 
     def test_block_expands_to_entries_in_order(self):
         t = InteractivityTranscript()
