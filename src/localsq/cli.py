@@ -227,7 +227,6 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
         seed=derive_seed(cfg.seed, "halfspace-run"),
     )
     error = classification_error(hyp, src)
-    proto = info.protocol_report
     report = {
         "command": "learn-halfspace",
         "seed": cfg.seed,
@@ -245,7 +244,6 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
         "samples": info.samples_used,
         "error": error,
         "learner": info.learner.to_json(),
-        "protocol": proto.to_json() if proto else None,
     }
     _emit_json(outdir, "hypothesis.json", "hypothesis", hyp.to_json())
     _emit_json(outdir, "halfspace_report.json", "halfspace_report", report)
@@ -322,7 +320,6 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
         "error": error,
         "target": target.to_json(),
         "learned": learned.to_json(),
-        "protocol": proto.to_json() if proto else None,
     }
     _emit_json(outdir, "dl_report.json", "dl_report", report)
     _emit_json(outdir, "dl_hypothesis.json", "target", learned.to_json())

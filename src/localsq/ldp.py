@@ -31,10 +31,12 @@ CHARGE_TOL = 1e-12
 
 
 def rr_coefficient(epsilon: float) -> float:
-    """Bias coefficient c = (e^eps - 1)/(e^eps + 1) of randomized response."""
-    if not epsilon > 0:
-        raise PreconditionError("epsilon must be positive")
-    return (math.exp(epsilon) - 1.0) / (math.exp(epsilon) + 1.0)
+    """Bias coefficient c = (e^eps - 1)/(e^eps + 1) of randomized response;
+    1.0 from eps = 38 on, which the formula rounds to before exp overflows."""
+    if not 0 < epsilon < math.inf:
+        raise PreconditionError("epsilon must be positive and finite")
+    return 1.0 if epsilon >= 38.0 else (
+        (math.exp(epsilon) - 1.0) / (math.exp(epsilon) + 1.0))
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,7 @@ class PrivacyLedger:
         summed spend of some index in the span plus `amount` would pass the
         cap; the message reports the largest existing spend in the span.
         """
-        if amount < 0:
+        if not amount >= 0:
             raise PreconditionError("charge must be nonnegative")
         if not 0 <= start < stop:
             raise PreconditionError("empty or negative span")

@@ -435,6 +435,13 @@ def _run_once(driver, oracle):
     return answers, driver.result()
 
 
+def _directions(q: StatQuery) -> tuple:
+    """The label-correlation direction h of each coordinate of q."""
+    h = decompose(q).h
+    return (h,) if q.width == 1 else tuple(
+        lambda X, j=j: h(X)[:, j] for j in range(q.width))
+
+
 def negation_fooling_demo(driver_factory, targets, X, m: int,
                           ) -> NegationFoolingReport:
     """Exhibit a target pair the driver cannot tell apart.
@@ -454,16 +461,16 @@ def negation_fooling_demo(driver_factory, targets, X, m: int,
     queries = list(probe.begin())
     threshold = 1.0 / m
     label_dep = [q for q in queries if q.label_dependent]
-    if len(label_dep) > m:
-        raise PreconditionError(
-            f"driver asks {len(label_dep)} label-dependent queries, above {m}"
-        )
+    width = sum(q.width for q in label_dep)
+    if width > m:
+        raise PreconditionError(f"driver asks {width} label-dependent "
+                                f"coordinates, above {m}")
     for q in label_dep:
         if q.tau < threshold - 1e-12:
             raise PreconditionError(
                 "label-dependent queries must declare tolerance >= 1/m"
             )
-    hset = HypothesisSet(tuple(decompose(q).h for q in label_dep))
+    hset = HypothesisSet(tuple(h for q in label_dep for h in _directions(q)))
     cover = correlation_cover_check(hset, targets, domain, threshold)
     if cover.covered:
         return NegationFoolingReport(

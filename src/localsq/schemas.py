@@ -77,23 +77,19 @@ TRANSCRIPT_BLOCK = _obj(
     required=["round", "label_dep", "tau", "answers"],
 )
 
-_QUERY_LOG = {"type": "array", "items": TRANSCRIPT_ENTRY}
 
-LDP_REPORT = _obj({
-    "rounds": _INT0,
-    "n": _INT0,
-    "epsilon": _POS,
-    "queries": _QUERY_LOG,
-})
+def _protocol_report(budget_key: str, budget_schema: dict) -> dict:
+    """compile-report's protocol_report.json, which embeds its queries."""
+    return _obj({
+        "rounds": _INT0,
+        "n": _INT0,
+        budget_key: budget_schema,
+        "queries": {"type": "array", "items": TRANSCRIPT_ENTRY},
+    })
 
-COMM_REPORT = _obj({
-    "rounds": _INT0,
-    "n": _INT0,
-    "bits": _INT1,
-    "queries": _QUERY_LOG,
-})
 
-_PROTOCOL = {"oneOf": [LDP_REPORT, COMM_REPORT, {"type": "null"}]}
+LDP_REPORT = _protocol_report("epsilon", _POS)
+COMM_REPORT = _protocol_report("bits", _INT1)
 
 HYPOTHESIS = _obj({"proj": _MATRIX, "w": _VEC})
 
@@ -143,7 +139,6 @@ HALFSPACE_REPORT = _obj({
     "samples": _INT0,
     "error": _UNIT,
     "learner": _LEARNER_REPORT,
-    "protocol": _PROTOCOL,
 })
 
 DL_REPORT = _obj({
@@ -163,7 +158,6 @@ DL_REPORT = _obj({
     "error": _UNIT,
     "target": TARGET,
     "learned": TARGET,
-    "protocol": _PROTOCOL,
 })
 
 ESTIMATE_REPORT = _obj({

@@ -131,6 +131,25 @@ class TestRrCoefficient:
         with pytest.raises(PreconditionError):
             rr_coefficient(0.0)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -math.inf])
+    def test_non_finite_rejected(self, eps):
+        with pytest.raises(PreconditionError):
+            rr_coefficient(eps)
+
+    def test_large_epsilon_is_one_and_keeps_the_formulas_bits(self):
+        def formula(e):
+            return (math.exp(e) - 1.0) / (math.exp(e) + 1.0)
+
+        # 37.4299470046159 is a point past 37 where the formula is still
+        # below 1.0; from 38 on it is exactly 1.0 until exp overflows.
+        grid = [*np.linspace(0.01, 37.999, 5001), 37.429947004615904,
+                38.0, 100.0, 709.0]
+        for e in grid:
+            assert rr_coefficient(float(e)) == formula(float(e)), e
+        assert formula(37.429947004615904) < 1.0
+        for e in (710.0, 1000.0, 1e300):
+            assert rr_coefficient(e) == 1.0
+
 
 class TestRrRandomizer:
     def test_zero_value_gives_fair_bit(self):
@@ -248,6 +267,16 @@ class TestPrivacyLedger:
             0: 1.5, 1: 1.5, 2: 1.5, 3: 1.5, 4: 1.5,
             5: 1.5, 6: 1.5, 7: 1.5, 8: 0.5, 9: 0.5,
         }
+
+    def test_nan_charge_refused_before_recording(self):
+        # NaN compares false both ways, so it must not slip past the cap.
+        ledger = PrivacyLedger(cap=1.0)
+        with pytest.raises(PreconditionError):
+            ledger.charge_span(0, 5, math.nan)
+        assert ledger.spent(0) == 0.0
+        with pytest.raises(BudgetExceeded):
+            ledger.charge_span(0, 5, 5.0)
+        assert ledger.per_index_spent == {}
 
     def test_zero_charge_and_negative_index(self):
         # A zero-amount charge is accepted but lists no index; an index

@@ -448,6 +448,37 @@ class LabelBlindDriver:
                                      (1,) * len(self._points))
 
 
+class ProbesDriver:
+    """Two label-correlation probes, as one width-2 block or as two queries."""
+
+    max_queries = 2
+
+    def __init__(self, points, patterns, tau, block):
+        self._probes = [Explicit(points, p) for p in patterns]
+        self._tau, self._block, self._answers = tau, block, None
+
+    def begin(self):
+        if self._block:
+            def fn(X, y):
+                return y[:, None] * np.column_stack(
+                    [p.labels_for(X) for p in self._probes])
+            return [StatQuery(fn=fn, tau=self._tau, label_dependent=True,
+                              width=2)]
+
+        def probe(p):
+            return lambda X, y: y * p.labels_for(X)
+        return [StatQuery(fn=probe(p), tau=self._tau, label_dependent=True)
+                for p in self._probes]
+
+    def feed(self, answers):
+        self._answers = list(answers)
+        return None
+
+    def result(self):
+        first = self._probes[0]
+        return first if self._answers[0] >= 0 else first.negate()
+
+
 class AdaptiveDriver(SingleProbeDriver):
     def feed(self, answers):
         super().feed(answers)
@@ -511,6 +542,30 @@ class TestNegationFooling:
 
         with pytest.raises(PreconditionError):
             negation_fooling_demo(factory, (f, f.negate()), pts, 2)
+
+    @pytest.mark.parametrize("patterns", [
+        ((1, 1, 1, -1), (1, 1, -1, 1)),  # neither probe covers the target
+        ((1, 1, 1, 1), (1, -1, -1, 1)),  # the second coordinate is it
+    ])
+    def test_width_two_block_is_two_coordinates(self, patterns):
+        # Each coordinate of a block is its own direction, and the block
+        # counts its width against m, as the adversarial oracle does.
+        pts = tuple(embed_hypercube([a, b]) for a in (0, 1) for b in (0, 1))
+        f = Explicit(pts, (1, -1, -1, 1))
+        reports = [negation_fooling_demo(
+            lambda block=block: ProbesDriver(pts, patterns, 0.5, block),
+            (f, f.negate()), pts, 2).to_json() for block in (True, False)]
+        assert reports[0] == reports[1]
+        assert reports[0]["found"] == (patterns[1] != (1, -1, -1, 1))
+
+    def test_width_two_block_over_budget_rejected(self):
+        pts = tuple(embed_hypercube([a, b]) for a in (0, 1) for b in (0, 1))
+        f = Explicit(pts, (1, -1, -1, 1))
+        with pytest.raises(PreconditionError, match="2 label-dependent "
+                           "coordinates, above 1"):
+            negation_fooling_demo(
+                lambda: ProbesDriver(pts, ((1, 1, 1, -1), (1, 1, -1, 1)),
+                                     1.0, True), (f, f.negate()), pts, 1)
 
     def test_shipped_domain_is_the_cube_in_a_major_order(self):
         _, _, pts, _ = make_shipped_negation_demo(0)
