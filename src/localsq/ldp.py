@@ -88,8 +88,15 @@ class Channel:
             raise PreconditionError("need at least one query")
         if not (0 < delta < 1 and tau > 0):
             raise PreconditionError("need tau > 0 and delta in (0, 1)")
-        return math.ceil(self.hoeffding * math.log(2.0 * t / delta)
-                         / (self.c * self.c * tau * tau))
+        spread = self.c * self.c * tau * tau
+        batch = (self.hoeffding * math.log(2.0 * t / delta) / spread
+                 if spread else math.inf)
+        # tau infinite or tau * tau underflowing leaves no batch, and numpy's
+        # int64 binomial takes no batch above 2**62.
+        if not 0 < batch <= 2**62:
+            raise PreconditionError(f"tau = {tau!r} at coefficient c = "
+                                    f"{self.c!r} gives no usable batch size")
+        return math.ceil(batch)
 
     def p_plus(self, v):
         """Probability that a client holding value v sends +1."""
@@ -271,8 +278,9 @@ class ChannelOracle(TranscriptingOracle):
     range checked on the support, charged as one ledger span of w batches
     and answered with one `stream_estimates` draw seeded by its first
     coordinate's index. A query past the bound of t, or asking for a
-    tolerance finer than tau, is refused unasked. The label_dependent flag
-    is trusted, not checked on the support.
+    tolerance finer than tau, is refused unasked. A label-free block is
+    evaluated with y=None, so one that reads the labels is refused before
+    anything is charged or recorded.
     """
 
     def __init__(self, source: LabeledSource, channel: Channel, t: int,

@@ -31,9 +31,8 @@ from .core import LabeledSource
 from .errors import BudgetExceeded, ContractViolation, PreconditionError, ProtocolError
 
 RANGE_TOL = 1e-12
-DEP_TOL = 1e-12
 
-QueryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+QueryFn = Callable[[np.ndarray, "np.ndarray | None"], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,12 @@ class StatQuery:
     (n, width) array whose column j is the value of coordinate j. A block's
     coordinates share tau, label_dependent and scale, and each is answered
     and recorded as one query. label_dependent declares whether fn reads
-    y at all; the declaration is verified against the decomposition on
-    every support the query is evaluated on. scale records the factor a
-    consumer multiplies the answer by when the submitted function is a
-    range-normalized stand-in for a larger quantity.
+    y at all: a label-free fn is called as fn(X, None), so one that does
+    arithmetic on y or reads its attributes is refused. That is a contract,
+    not a sandbox: a comparison such as `y == 1` is just False, and a fn
+    that tests `y is None` can still lie. scale records the factor a
+    consumer multiplies the answer by when fn is a range-normalized
+    stand-in for a larger one.
     """
 
     fn: QueryFn
@@ -76,12 +77,23 @@ def checked_values(values, shape: tuple) -> np.ndarray:
     return values
 
 
-def evaluate_block(q: StatQuery, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """q.fn on a batch as a checked (n, width) array."""
-    values = np.asarray(q.fn(X, y), dtype=float)
+def evaluate_block(q: StatQuery, X: np.ndarray, y: np.ndarray | None
+                   ) -> np.ndarray:
+    """fn(X, y), or fn(X, None) if label-free, as a checked (n, width) array."""
+    if q.label_dependent:
+        values = q.fn(X, y)
+    else:
+        try:
+            values = q.fn(X, None)
+            if values is None:
+                raise TypeError("fn returned None")
+        except (TypeError, AttributeError) as exc:
+            raise ContractViolation("declared label_dependent=False but fn "
+                                    f"reads the labels: {exc}") from exc
+    values = np.asarray(values, dtype=float)
     if q.width == 1 and values.ndim == 1:
         values = values[:, None]
-    return checked_values(values, (y.shape[0], q.width))
+    return checked_values(values, (X.shape[0], q.width))
 
 
 @dataclass(frozen=True)
@@ -200,27 +212,21 @@ def assert_label_non_adaptive(t: InteractivityTranscript) -> bool:
 
 
 def _evaluate_on_support(q: StatQuery, src: LabeledSource):
-    """Evaluate fn under both labels, enforcing range and dependence contracts.
+    """fn on the support, range checked, under labels +1, -1 and the target's.
 
     Returns (plus, minus, realized), each (n, width), where realized[i] =
-    fn(x_i, f(x_i)). fn is called once, on the support stacked over both
-    labels, so a block's label-free work (the halfspace sign weight) runs
-    once per evaluation.
+    fn(x_i, f(x_i)). fn is called once: a label-free block on the points
+    alone, its one array being all three; a label-dependent block on the
+    support stacked over both labels.
     """
     X = src.dist.matrix
+    if not q.label_dependent:
+        realized = evaluate_block(q, X, None)
+        return realized, realized, realized
     n = X.shape[0]
     ones = np.ones(n)
     both = evaluate_block(q, np.vstack([X, X]), np.concatenate([ones, -ones]))
     plus, minus = both[:n], both[n:]
-    # The flag covers the query's declared domain; the evaluated support can
-    # only witness dependence, never rule it out, so the lazy check is
-    # one-directional.
-    actually_dependent = bool(np.abs(plus - minus).max() > DEP_TOL)
-    if actually_dependent and not q.label_dependent:
-        raise ContractViolation(
-            "declared label_dependent=False but support evaluation "
-            "shows dependence"
-        )
     realized = np.where(src.labels[:, None] > 0, plus, minus)
     return plus, minus, realized
 

@@ -131,6 +131,15 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "error: epsilon must be positive and finite\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["compile-report", "--tau", "1e-300"], ["estimate-mean", "--tau", "inf"],
+    ], ids=lambda a: a[0])
+    def test_extreme_tau_refused_naming_tau(self, tmp_path, capsys, argv):
+        # No batch size exists: tau * tau underflows to 0, or tau is
+        # infinite. Both are refused before any work, naming tau.
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: tau = {argv[2]} ")
+
     def test_direct_config_refusal_names_the_key(self):
         with pytest.raises(PreconditionError, match="^tau: "):
             ExperimentConfig(command="learn-dl", tau=-1.0)

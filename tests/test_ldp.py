@@ -500,6 +500,30 @@ class TestCompileToLdp:
         assert calls == []
 
     @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
+                             ids=["ldp", "comm"])
+    @pytest.mark.parametrize("fn, width", [
+        (lambda X, y: y * X[:, 0], 1),
+        (lambda X, y: np.column_stack([X[:, 0], y * X[:, 1]]), 2),
+        (lambda X, y: y.astype(float) * X[:, 0], 1),
+    ], ids=["reads-y", "one-column-reads-y", "y-attribute"])
+    def test_label_free_block_reading_labels_refused_before_any_charge(
+            self, channel, fn, width, monkeypatch):
+        # A label-free block is evaluated with y=None, so one that reads
+        # the labels is refused before the ledger, the sample count or the
+        # transcript moves.
+        src = make_margin_source(3, 0.3, 10, seed=5)
+        q = StatQuery(fn=fn, tau=0.3, label_dependent=False, width=width)
+        oracle = ChannelOracle(src, channel, width, 0.3, 0.2, seed=4)
+        calls = []
+        monkeypatch.setattr(PrivacyLedger, "charge_span",
+                            lambda *a: calls.append("charge"))
+        monkeypatch.setattr(InteractivityTranscript, "append",
+                            lambda *a: calls.append("append"))
+        with pytest.raises(ContractViolation, match="reads the labels"):
+            oracle.ask(q, 0)
+        assert calls == [] and oracle.samples_used == 0
+
+    @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
                              ids=["ldp", "one-bit"])
     def test_label_block_covers_its_means(self, channel):
         # Coverage of the batch rule on a width-50 block: across 200
@@ -678,6 +702,17 @@ class TestChannel:
             reference = float(np.clip(total / (channel.c * 4_000), -1.0, 1.0))
             assert channel.estimate_mean(stream, range(1_000, 5_000), phi,
                                          seed) == reference
+
+    @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
+                             ids=["ldp", "one-bit"])
+    @pytest.mark.parametrize("tau", [1e-300, 1e-160, 1e-150, math.inf],
+                             ids=["underflow", "overflow", "too-large", "inf"])
+    def test_extreme_tau_refused_naming_tau(self, channel, tau):
+        # tau * tau underflows to 0 at 1e-300; at 1e-160 it is subnormal
+        # and the batch overflows to inf; at 1e-150 the batch is finite but
+        # past numpy's binomial; at inf the batch would be 0.
+        with pytest.raises(PreconditionError, match="^tau = "):
+            channel.batch_size(3, tau, 0.1)
 
     def test_probability_sum_above_one_is_clamped(self):
         # probs may sum to 1 + PROB_TOL; with every value at +1 the one-bit

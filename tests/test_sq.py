@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localsq._rng import derive_seed, generator
 from localsq.core import (
     Explicit,
     FiniteDistribution,
@@ -20,6 +21,7 @@ from localsq.core import (
     make_margin_source,
 )
 from localsq.errors import BudgetExceeded, ContractViolation, ProtocolError
+from localsq.margin_learner import SurrogateParams, grad_f1_query
 from localsq.schemas import validate_artifact
 from localsq.sq import (
     AdversarialOracle,
@@ -154,7 +156,7 @@ class TestExactOracle:
         oracle = ExactOracle(src)
         lying_independent = StatQuery(fn=lambda X, y: y, tau=0.1,
                                       label_dependent=False)
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="reads the labels"):
             oracle.ask(lying_independent, 0)
 
     def test_overstated_dependence_tolerated(self):
@@ -545,7 +547,7 @@ class TestBlockQueries:
         src = make_margin_source(3, 0.3, 10, seed=8)
         q = StatQuery(fn=lambda X, y: np.column_stack([X[:, 0], y * X[:, 1]]),
                       tau=0.1, label_dependent=False, width=2)
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="reads the labels"):
             ExactOracle(src).ask(q, 0)
 
     def test_run_driver_feeds_one_answer_per_coordinate(self):
@@ -566,3 +568,109 @@ class TestBlockQueries:
         assert driver.answers == [
             scalar.ask(q, 0) for q in label_scalars(3)
             + [correlation_query([1.0, 0.0, 0.0])]]
+
+
+LYING_LABEL_FREE = [
+    StatQuery(fn=lambda X, y: y * X[:, 0], tau=0.1, label_dependent=False),
+    StatQuery(fn=lambda X, y: np.column_stack([X[:, 0], y * X[:, 1]]),
+              tau=0.1, label_dependent=False, width=2),
+    StatQuery(fn=lambda X, y: y, tau=0.1, label_dependent=False),
+    StatQuery(fn=lambda X, y: y.astype(float) * X[:, 0], tau=0.1,
+              label_dependent=False),
+]
+
+
+def stacked_reference(q, src, seed, m):
+    """Exact, perturbing ("uniform") and adversarial answers and branches,
+    computed as before label-free blocks were evaluated on the points alone:
+    fn on the support stacked over both labels, then the realized rows."""
+    X, probs, labels = src.dist.matrix, src.dist.probs, src.labels
+    n = len(X)
+    both = np.asarray(q.fn(np.vstack([X, X]),
+                           np.concatenate([np.ones(n), -np.ones(n)])),
+                      dtype=float).reshape(2 * n, q.width)
+    plus, minus = both[:n], both[n:]
+    realized = np.where(labels[:, None] > 0, plus, minus)
+
+    def means(values):
+        return np.array([probs @ c for c in np.ascontiguousarray(values.T)])
+
+    exact = means(realized)
+    rng = generator(derive_seed(seed, "perturbing-oracle"))
+    perturbed = np.array([e + float(rng.uniform(-q.tau, q.tau))
+                          for e in exact])
+    concede = np.abs(means(labels[:, None] * (plus - minus) / 2.0)) >= 1.0 / m
+    adversarial = np.where(concede, exact, means((plus + minus) / 2.0))
+    return (exact, perturbed, adversarial,
+            ["exact" if c else "label_blind" for c in concede])
+
+
+class TestLabelFreeEvaluation:
+    @pytest.mark.parametrize("make_oracle", [
+        ExactOracle,
+        lambda src: PerturbingOracle(src, "uniform", seed=3),
+        lambda src: AdversarialOracle(AdversarialOracleConfig(src, m=5)),
+    ], ids=["exact", "perturbing", "adversarial"])
+    @pytest.mark.parametrize("q", LYING_LABEL_FREE,
+                             ids=["reads-y", "one-column-reads-y", "returns-y",
+                                  "y-attribute"])
+    def test_label_free_block_reading_labels_refused(self, make_oracle, q):
+        # A label-free fn is called with y=None, so reading y fails and is
+        # refused, naming the labels, before anything is recorded.
+        oracle = make_oracle(make_margin_source(3, 0.3, 10, seed=8))
+        with pytest.raises(ContractViolation, match="reads the labels"):
+            oracle.ask(q, 0)
+        assert len(oracle.transcript) == 0
+        assert getattr(oracle, "branches", []) == []
+
+    @staticmethod
+    def random_cases(kind, count=30, seed=2002):
+        """(query, source, seed, m): random label-free blocks of widths 1-5
+        on random sources, with an adversarial budget m that fits them."""
+        rng = np.random.default_rng(seed)
+        for case in range(count):
+            d = int(rng.integers(1, 6))
+            src = make_margin_source(d, 0.2, int(rng.integers(1, 40)),
+                                     seed=case, probs="random")
+            width = int(rng.integers(1, 6))
+            I, J, K = rng.integers(0, d, (3, width))
+            A = rng.uniform(-1, 1, (d, width))
+            q = {"gradient": grad_f1_query(A[:, 0], SurrogateParams(
+                     0.2, 0.1, d), 0.05),
+                 "elementwise": StatQuery(
+                     fn=lambda X, y, I=I, J=J, K=K:
+                         0.5 * (X[:, I] * X[:, J] + X[:, K]),
+                     tau=0.05, label_dependent=False, width=width),
+                 "product": StatQuery(
+                     fn=lambda X, y, A=A: np.tanh(X @ A), tau=0.05,
+                     label_dependent=False, width=width)}[kind]
+            yield q, src, case, q.width + int(rng.integers(0, 20))
+
+    @pytest.mark.parametrize("kind", ["gradient", "elementwise"])
+    def test_answers_match_stacked_evaluation_bit_for_bit(self, kind):
+        # The halfspace learner's label-free gradient block and elementwise
+        # blocks: evaluating once, on the points alone, changes no bit of
+        # any oracle's answers or the adversarial branches.
+        for q, src, case, m in self.random_cases(kind):
+            exact, perturbed, adversarial, branches = stacked_reference(
+                q, src, case, m)
+            adv = AdversarialOracle(AdversarialOracleConfig(src, m))
+            assert np.array_equal(np.ravel(ExactOracle(src).ask(q, 0)), exact)
+            assert np.array_equal(np.ravel(PerturbingOracle(
+                src, "uniform", seed=case).ask(q, 0)), perturbed)
+            assert np.array_equal(np.ravel(adv.ask(q, 0)), adversarial)
+            assert adv.branches == branches == ["label_blind"] * q.width
+
+    def test_matrix_product_blocks_move_by_rounding_only(self):
+        # A BLAS product's rows can round differently at n and at 2n rows
+        # (the stacked halves could already disagree in the last bit), so
+        # such a block matches the stacked answers only up to rounding.
+        for q, src, case, m in self.random_cases("product", count=200):
+            exact, _, adversarial, branches = stacked_reference(
+                q, src, case, m)
+            adv = AdversarialOracle(AdversarialOracleConfig(src, m))
+            assert np.allclose(np.ravel(ExactOracle(src).ask(q, 0)), exact,
+                               rtol=0.0, atol=1e-15)
+            assert np.allclose(np.ravel(adv.ask(q, 0)), adversarial,
+                               rtol=0.0, atol=1e-15)
+            assert adv.branches == branches
