@@ -15,8 +15,7 @@ class ContractViolation(LocalSqError):
     """A declared contract was broken at evaluation time.
 
     Examples: a statistical query returning a value outside [-1, 1] on a
-    support point, a query declared label-independent whose value depends
-    on the label, a randomizer fed an out-of-range input.
+    support point, a query declared label-independent that reads the label.
     """
 
 

@@ -6,7 +6,9 @@ phi(z), scaled by a coefficient c. A `Channel` fixes c, what each client
 pays for its bit, and the batch rule. The locally private channel has
 c = (e^eps - 1)/(e^eps + 1), so that the two possible outputs never differ
 in probability by more than a factor e^eps; the one-bit channel
-(`localsq.comm`) is the same simulation with c = 1. Averaging debiased bits
+(`localsq.comm`) is the same simulation with c = 1. `ldp_channel` checks
+that bound at construction on the float64 probabilities the channel draws
+from, and refuses an epsilon whose rounding breaks it. Averaging debiased bits
 over a fresh batch answers one statistical query, so a channel is an SQ
 oracle (`ChannelOracle`); running a query driver against it turns any SQ
 algorithm into a protocol on the channel with the same round structure.
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .sq import StatQuery, TranscriptingOracle, checked_values, \
     evaluate_block, run_driver
 
 CHARGE_TOL = 1e-12
+PRIVACY_TOL = 1e-9
 
 
 def rr_coefficient(epsilon: float) -> float:
@@ -37,31 +39,6 @@ def rr_coefficient(epsilon: float) -> float:
         raise PreconditionError("epsilon must be positive and finite")
     return 1.0 if epsilon >= 38.0 else (
         (math.exp(epsilon) - 1.0) / (math.exp(epsilon) + 1.0))
-
-
-@dataclass(frozen=True)
-class LocalRandomizer:
-    """A per-client randomizer with an analytic output distribution.
-
-    apply draws one message from the client's example; prob reports the
-    exact probability of a message given an example, which is what the
-    privacy verifier enumerates; debias maps a message back to an unbiased
-    estimate of the encoded value.
-    """
-
-    message_space: tuple
-    apply_fn: Callable[[np.ndarray, float, int], object]
-    prob_fn: Callable[[np.ndarray, float, object], float]
-    debias_fn: Callable[[object], float]
-
-    def apply(self, x: np.ndarray, y: float, seed: int) -> object:
-        return self.apply_fn(x, y, seed)
-
-    def prob(self, x: np.ndarray, y: float, message: object) -> float:
-        return self.prob_fn(x, y, message)
-
-    def debias(self, message: object) -> float:
-        return self.debias_fn(message)
 
 
 @dataclass(frozen=True)
@@ -99,8 +76,19 @@ class Channel:
         return math.ceil(batch)
 
     def p_plus(self, v):
-        """Probability that a client holding value v sends +1."""
-        return 0.5 + self.c * v / 2.0
+        """Probability that a client holding v, clipped to [-1, 1], sends +1."""
+        return 0.5 + self.c * np.clip(v, -1.0, 1.0) / 2.0
+
+    def privacy_ratio(self) -> float:
+        """Largest ratio of one message's probabilities over two clients.
+
+        p_plus is monotone in v, so v = +-1 attain it; inf when either
+        message is impossible at one of them.
+        """
+        hi, lo = float(self.p_plus(1.0)), float(self.p_plus(-1.0))
+        if lo == 0.0 or hi == 1.0:
+            return math.inf
+        return max(hi / lo, (1.0 - lo) / (1.0 - hi))
 
     def estimate_mean(self, S: SampleStream, span: range, phi,
                       seed: int) -> float:
@@ -136,59 +124,32 @@ class Channel:
         # with a scalar p it makes the same first draw.
         plus = (rng.binomial(n, q[0], size=1) if len(q) == 1
                 else rng.binomial(n, q))
-        return self._debiased(plus, n)
-
-    def _debiased(self, plus, n: int):
         return ((2.0 * plus - n) / (self.c * n)).clip(-1.0, 1.0)
-
-    def randomizer(self, phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                   ) -> LocalRandomizer:
-        """One client's view of the channel for a [-1,1]-valued phi.
-
-        Its output probabilities come from the same p_plus as the
-        estimator's draws. They lie in [(1-c)/2, (1+c)/2], so any two
-        examples' message probabilities are within a factor (1+c)/(1-c).
-        """
-
-        def p_plus(x, y):
-            X = np.asarray(x, dtype=float).reshape(1, -1)
-            v = checked_values(phi(X, np.array([float(y)])), (1,))[0]
-            return self.p_plus(float(v))
-
-        def prob_fn(x, y, message):
-            if message not in (1, -1):
-                raise PreconditionError("message outside the randomizer's space")
-            p = p_plus(x, y)
-            return p if message == 1 else 1.0 - p
-
-        return LocalRandomizer(
-            message_space=(-1, 1),
-            apply_fn=lambda x, y, seed: (
-                1 if generator(seed).random() < p_plus(x, y) else -1),
-            prob_fn=prob_fn,
-            debias_fn=lambda message: float(message) / self.c,
-        )
 
 
 def ldp_channel(epsilon: float) -> Channel:
-    """The epsilon-locally-private channel: randomized response at epsilon."""
-    return Channel(c=rr_coefficient(epsilon), budget_key="epsilon",
-                   budget=epsilon, hoeffding=8.0, seed_label="ldp-query")
+    """The epsilon-locally-private channel: randomized response at epsilon.
+
+    Refused unless c > 0 and the float64 message probabilities stay within
+    a factor e^epsilon (up to PRIVACY_TOL relative) of each other.
+    """
+    channel = Channel(c=rr_coefficient(epsilon), budget_key="epsilon",
+                      budget=epsilon, hoeffding=8.0, seed_label="ldp-query")
+    if channel.c == 0.0:
+        raise PreconditionError(
+            f"epsilon = {epsilon!r} rounds the coefficient c to 0")
+    # The ratio is inf wherever exp(epsilon) would overflow, so test it first.
+    ratio = channel.privacy_ratio()
+    if ratio == math.inf or ratio > math.exp(epsilon) * (1.0 + PRIVACY_TOL):
+        raise PreconditionError(
+            f"epsilon = {epsilon!r} is not met in float64: the message "
+            f"probabilities at c = {channel.c!r} differ by a factor {ratio!r}")
+    return channel
 
 
 def ldp_batch_size(t: int, tau: float, delta: float, epsilon: float) -> int:
     """Per-query batch so all t answers are within tau w.p. >= 1 - delta."""
     return ldp_channel(epsilon).batch_size(t, tau, delta)
-
-
-def rr_randomizer(phi: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                  epsilon: float) -> LocalRandomizer:
-    """Randomized response for a [-1,1]-valued function of one example.
-
-    Emits +1 with probability 1/2 + c*phi(z)/2, else -1, so any two
-    examples' message probabilities are within a factor e^eps.
-    """
-    return ldp_channel(epsilon).randomizer(phi)
 
 
 def ldp_estimate_mean(S, span, phi, epsilon: float, seed: int) -> float:
@@ -357,26 +318,3 @@ def compile_sq_to_ldp(driver, S, epsilon: float, tau: float, delta: float,
     """compile_sq on the epsilon-locally-private channel."""
     return compile_sq(driver, S, ldp_channel(epsilon), tau, delta, seed)
 
-
-def verify_randomizer_privacy(R: LocalRandomizer, sample_space) -> float:
-    """Max over sample pairs and messages of the output-probability ratio.
-
-    sample_space enumerates (x, y) examples. Returns inf when some message
-    is possible under one sample and impossible under another, which is a
-    privacy violation at any finite epsilon.
-    """
-    samples = [(np.asarray(x, dtype=float), float(y)) for x, y in sample_space]
-    if not samples:
-        raise PreconditionError("empty sample space")
-    worst = 1.0
-    for x1, y1 in samples:
-        for x2, y2 in samples:
-            for w in R.message_space:
-                num = R.prob(x1, y1, w)
-                den = R.prob(x2, y2, w)
-                if den == 0.0:
-                    if num > 0.0:
-                        return math.inf
-                    continue
-                worst = max(worst, num / den)
-    return worst

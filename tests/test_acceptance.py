@@ -37,8 +37,7 @@ from localsq.errors import LearningFailure
 from localsq.ldp import (
     compile_sq_to_ldp,
     ldp_batch_size,
-    rr_randomizer,
-    verify_randomizer_privacy,
+    ldp_channel,
 )
 from localsq.lowerbound import (
     HypothesisSet,
@@ -87,14 +86,12 @@ def criterion(index, name, budget_s):
 # 1. Local privacy of the randomized-response channel.
 
 
-@criterion(1, "randomizer privacy ratio", 1.0)
+@criterion(1, "channel privacy ratio", 1.0)
 def test_criterion_01_privacy():
-    space = [(np.array([1.0]), 1.0), (np.array([-1.0]), -1.0),
-             (np.array([0.0]), 1.0)]
+    # The ratio of the float64 probabilities the channel draws from.
     worst_gap = 0.0
     for eps in (0.1, 0.5, 1.0, 2.0, 5.0):
-        R = rr_randomizer(lambda X, y: X[:, 0], epsilon=eps)
-        ratio = verify_randomizer_privacy(R, space)
+        ratio = ldp_channel(eps).privacy_ratio()
         assert ratio <= math.exp(eps) + 1e-9, (eps, ratio)
         worst_gap = max(worst_gap, ratio - math.exp(eps))
     return f"5 epsilon values, worst ratio minus e^eps = {worst_gap:.2e}"

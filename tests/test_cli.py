@@ -123,13 +123,29 @@ class TestConfig:
     ], ids=lambda a: a[0])
     def test_large_epsilon_runs_and_infinite_is_refused(self, tmp_path,
                                                         capsys, argv):
-        # c rounds to 1.0 long before exp overflows; inf has no c at all.
-        assert main(argv + ["--epsilon", "1000",
+        # 16 is near the largest epsilon float64 randomized response meets;
+        # inf has no c at all.
+        assert main(argv + ["--epsilon", "16",
                             "--out", str(tmp_path / "big")]) == 0
         assert main(argv + ["--epsilon", "inf",
                             "--out", str(tmp_path / "inf")]) == 2
         assert capsys.readouterr().err == (
             "error: epsilon must be positive and finite\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["compile-report"], ["estimate-mean", "--trials", "5"],
+        ["learn-dl", "--oracle", "ldp"],
+        ["learn-halfspace", "--oracle", "ldp", "--d", "10", "--support", "50"],
+    ], ids=lambda a: a[0])
+    @pytest.mark.parametrize("epsilon", ["1000", "1e-20"])
+    def test_uncertifiable_epsilon_refused_naming_it(self, tmp_path, capsys,
+                                                     argv, epsilon):
+        # At 1000 c rounds to 1 and a message has probability 0; at 1e-20
+        # c rounds to 0. Both are refused before any draw, naming epsilon.
+        assert main(argv + ["--epsilon", epsilon,
+                            "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: epsilon = {float(epsilon)!r} ")
 
     @pytest.mark.parametrize("argv", [
         ["compile-report", "--tau", "1e-300"], ["estimate-mean", "--tau", "inf"],

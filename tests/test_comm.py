@@ -17,7 +17,6 @@ from localsq.core import (
 from localsq.errors import (
     BudgetExceeded,
     ContractViolation,
-    PreconditionError,
     SizingError,
 )
 from localsq.comm import (
@@ -64,46 +63,29 @@ class NonInteractiveDriver:
 
 
 class TestOneBitExtractor:
-    """The one-bit channel's per-client model: Pr[+1] = (1 + v) / 2."""
-
-    x = np.array([0.0])
+    """The one-bit channel's per-client law: Pr[+1] = (1 + v) / 2."""
 
     def test_value_one_always_fires(self):
-        R = ONE_BIT.randomizer(lambda X, y: np.ones(len(X)))
-        assert R.prob(self.x, 1.0, 1) == 1.0
-        assert {R.apply(self.x, 1.0, s) for s in range(50)} == {1}
+        assert ONE_BIT.p_plus(1.0) == 1.0
 
     def test_zero_value_fair_bit(self):
-        R = ONE_BIT.randomizer(lambda X, y: np.zeros(len(X)))
-        assert R.prob(self.x, 1.0, 1) == 0.5
-        ones = sum(R.apply(self.x, 1.0, s) == 1 for s in range(2000))
-        assert abs(ones / 2000 - 0.5) < 0.05
+        assert ONE_BIT.p_plus(0.0) == 0.5
 
     def test_half_value_three_quarters(self):
         # Pr[+1] = (1 + 0.5)/2 = 0.75.
-        R = ONE_BIT.randomizer(lambda X, y: np.full(len(X), 0.5))
-        assert R.prob(self.x, 1.0, 1) == 0.75
-        ones = sum(R.apply(self.x, 1.0, s) == 1 for s in range(2000))
-        assert abs(ones / 2000 - 0.75) < 0.05
+        assert ONE_BIT.p_plus(0.5) == 0.75
 
     @given(st.floats(-1.0, 1.0))
     def test_debiased_bit_unbiased_analytically(self, value):
         # E[message] = (1 + v)/2 - (1 - v)/2 = v, and c = 1 debiases nothing.
-        R = ONE_BIT.randomizer(lambda X, y: np.full(len(X), value))
-        mean = sum(R.prob(self.x, 1.0, w) * R.debias(w)
-                   for w in R.message_space)
-        assert mean == pytest.approx(value, abs=1e-12)
+        p = ONE_BIT.p_plus(value)
+        assert p - (1.0 - p) == pytest.approx(value, abs=1e-12)
 
     def test_range_violation_rejected(self):
-        R = ONE_BIT.randomizer(lambda X, y: 1.5 * np.ones(len(X)))
+        S = SampleStream(two_point_source(), 10, seed=1)
         with pytest.raises(ContractViolation):
-            R.apply(self.x, 1.0, 0)
-
-    def test_malformed_extractor_output_rejected(self):
-        # Messages are +-1; a 0/1 bit is outside the message space.
-        R = ONE_BIT.randomizer(first_coord)
-        with pytest.raises(PreconditionError):
-            R.prob(self.x, 1.0, 0)
+            comm_estimate_mean(S, range(0, 10),
+                               lambda X, y: 1.5 * np.ones(len(X)), seed=0)
 
 
 class TestCommEstimateMean:

@@ -1,4 +1,5 @@
-"""Tests for local randomizers, the privacy ledger, and the LDP compiler.
+"""Tests for randomized response and its privacy certificate, the privacy
+ledger, and the LDP compiler.
 
 Closed-form probabilities are hand-derived and frozen; estimator behavior
 is checked by Monte Carlo against exact means with generous concentration
@@ -8,12 +9,14 @@ margins; ledger safety is a hypothesis property over random call sequences.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from localsq import ldp
 from localsq._rng import generator
 from localsq.comm import ONE_BIT
 from localsq.core import (
@@ -31,8 +34,8 @@ from localsq.errors import (
     SizingError,
 )
 from localsq.ldp import (
+    PRIVACY_TOL,
     ChannelOracle,
-    LocalRandomizer,
     PrivacyLedger,
     compile_sq,
     compile_sq_to_ldp,
@@ -40,10 +43,15 @@ from localsq.ldp import (
     ldp_channel,
     ldp_estimate_mean,
     rr_coefficient,
-    rr_randomizer,
-    verify_randomizer_privacy,
 )
-from localsq.sq import ExactOracle, InteractivityTranscript, StatQuery
+from localsq.margin_learner import learn_halfspace
+from localsq.sq import (
+    RANGE_TOL,
+    ExactOracle,
+    InteractivityTranscript,
+    StatQuery,
+    evaluate_block,
+)
 
 
 def first_coord(X, y):
@@ -152,74 +160,131 @@ class TestRrCoefficient:
 
 
 class TestRrRandomizer:
+    """The channel's per-client law: Pr[+1] = 1/2 + c v / 2."""
+
     def test_zero_value_gives_fair_bit(self):
-        R = rr_randomizer(lambda X, y: np.zeros(len(X)), epsilon=1.0)
-        assert R.prob(np.array([0.0]), 1.0, 1) == pytest.approx(0.5)
-        assert R.prob(np.array([0.0]), 1.0, -1) == pytest.approx(0.5)
+        assert ldp_channel(1.0).p_plus(0.0) == 0.5
 
     def test_ln3_extreme_value(self):
-        # c = 1/2, so phi = 1 pushes Pr[+1] to 1/2 + 1/4 = 3/4.
-        R = rr_randomizer(first_coord, epsilon=math.log(3.0))
-        assert R.prob(np.array([1.0]), 1.0, 1) == pytest.approx(0.75)
-        assert R.prob(np.array([-1.0]), 1.0, 1) == pytest.approx(0.25)
+        # c = 1/2, so v = 1 pushes Pr[+1] to 1/2 + 1/4 = 3/4.
+        channel = ldp_channel(math.log(3.0))
+        assert channel.p_plus(1.0) == pytest.approx(0.75)
+        assert channel.p_plus(-1.0) == pytest.approx(0.25)
 
     def test_out_of_range_value_rejected(self):
-        R = rr_randomizer(lambda X, y: 3.0 * X[:, 0], epsilon=1.0)
+        # p_plus clips; the range check happens before any message is drawn.
+        S = SampleStream(two_point_source(), 10, seed=1)
         with pytest.raises(ContractViolation):
-            R.prob(np.array([1.0]), 1.0, 1)
+            ldp_channel(1.0).estimate_mean(S, range(0, 10),
+                                           lambda X, y: 3.0 * X[:, 0], seed=0)
 
     @given(st.floats(-1.0, 1.0), st.sampled_from([0.1, 0.5, 1.0, 2.0, 5.0]))
     def test_unbiased_debiasing(self, value, epsilon):
-        # Sum over messages of prob * debias must reproduce the value.
-        R = rr_randomizer(lambda X, y: np.full(len(X), value), epsilon)
-        x = np.array([0.0])
-        mean = sum(R.prob(x, 1.0, w) * R.debias(w) for w in R.message_space)
-        assert mean == pytest.approx(value, abs=1e-12)
-
-    def test_apply_deterministic_per_seed(self):
-        R = rr_randomizer(first_coord, epsilon=1.0)
-        x = np.array([0.3])
-        draws_a = [R.apply(x, 1.0, s) for s in range(20)]
-        draws_b = [R.apply(x, 1.0, s) for s in range(20)]
-        assert draws_a == draws_b
-        assert set(draws_a) <= {-1, 1}
+        # E[message] / c = (2 p_plus(v) - 1) / c must reproduce the value.
+        channel = ldp_channel(epsilon)
+        assert (2.0 * channel.p_plus(value) - 1.0) / channel.c == \
+            pytest.approx(value, abs=1e-12)
 
 
 class TestVerifyPrivacy:
     def test_rr_ratio_is_exp_epsilon(self):
-        # Extremes phi = +-1 realize the worst case (1+c)/(1-c) = e^eps.
-        space = [(np.array([1.0]), 1.0), (np.array([-1.0]), 1.0)]
+        # Extremes v = +-1 realize the worst case (1+c)/(1-c) = e^eps.
         for eps in (0.1, 0.5, 1.0, 2.0, 5.0):
-            R = rr_randomizer(first_coord, epsilon=eps)
-            assert verify_randomizer_privacy(R, space) == pytest.approx(
+            assert ldp_channel(eps).privacy_ratio() == pytest.approx(
                 math.exp(eps), abs=1e-9
             )
 
     def test_constant_randomizer_ratio_one(self):
-        R = LocalRandomizer(
-            message_space=(0,),
-            apply_fn=lambda x, y, seed: 0,
-            prob_fn=lambda x, y, w: 1.0,
-            debias_fn=lambda w: 0.0,
-        )
-        space = [(np.array([1.0]), 1.0), (np.array([-1.0]), -1.0)]
-        assert verify_randomizer_privacy(R, space) == 1.0
-
-    def test_identity_map_is_infinite_violation(self):
-        R = LocalRandomizer(
-            message_space=(0, 1),
-            apply_fn=lambda x, y, seed: int(x[0] > 0),
-            prob_fn=lambda x, y, w: 1.0 if w == int(x[0] > 0) else 0.0,
-            debias_fn=lambda w: float(w),
-        )
-        space = [(np.array([1.0]), 1.0), (np.array([-1.0]), 1.0)]
-        assert verify_randomizer_privacy(R, space) == math.inf
+        # c = 0 sends a fair bit whatever the value, so the ratio alone
+        # would certify any epsilon; ldp_channel refuses c = 0 by itself.
+        assert replace(ldp_channel(1.0), c=0.0).privacy_ratio() == 1.0
 
     def test_one_bit_channel_is_not_private(self):
-        # c = 1 sends phi = +1 as +1 and phi = -1 as -1, always.
-        space = [(np.array([1.0]), 1.0), (np.array([-1.0]), 1.0)]
-        R = ONE_BIT.randomizer(first_coord)
-        assert verify_randomizer_privacy(R, space) == math.inf
+        # c = 1 sends v = +1 as +1 and v = -1 as -1, always.
+        assert ONE_BIT.privacy_ratio() == math.inf
+
+
+# A 0.01 grid to 40, past the last epsilon whose c rounds below 1, plus
+# epsilons whose c rounds to 0, to 1, and whose exp overflows.
+REFUSED_EPSILONS = (1e-300, 1e-20, 50.0, 700.0, 1000.0, 1e300)
+SWEEP_EPSILONS = [k / 100 for k in range(1, 4001)] + list(REFUSED_EPSILONS)
+
+
+def certified(epsilon):
+    """ldp_channel(epsilon), or None when it is refused naming epsilon."""
+    try:
+        return ldp_channel(epsilon)
+    except PreconditionError as exc:
+        assert str(exc).startswith(f"epsilon = {epsilon!r} "), exc
+        return None
+
+
+def compiled_blocks(monkeypatch) -> list:
+    """The value blocks that a compiled probe run and a compiled
+    learn_halfspace run draw from, side by side per support size."""
+    seen = {}
+
+    def record(q, X, y):
+        values = evaluate_block(q, X, y)
+        seen.setdefault(len(X), []).append(values)
+        return values
+
+    monkeypatch.setattr(ldp, "evaluate_block", record)
+    src = make_margin_source(4, 0.3, 12, seed=8, probs="random")
+    probes = [StatQuery(fn=(lambda X, y, j=j: y * X[:, j % 4]) if j % 2
+                        else (lambda X, y, j=j: X[:, j % 4]),
+                        tau=0.3, label_dependent=bool(j % 2))
+              for j in range(8)]
+    compile_sq(NonInteractiveDriver(probes), src, ldp_channel(1.0), 0.3, 0.2,
+               seed=3)
+    learn_halfspace(make_margin_source(5, 0.3, 30, seed=4), 0.3, 0.15, 0.05,
+                    oracle="ldp", epsilon=1.0, seed=6)
+    return [np.hstack(blocks) for blocks in seen.values()]
+
+
+class TestPrivacyCertificate:
+    """ldp_channel certifies e^eps on the float64 probabilities it draws
+    from, or refuses the epsilon naming it."""
+
+    def test_sweep_certifies_or_refuses_naming_epsilon(self):
+        admitted = np.array([-1.0 - RANGE_TOL, 1.0 + RANGE_TOL])
+        outcomes = {eps: certified(eps) for eps in SWEEP_EPSILONS}
+        for eps, channel in outcomes.items():
+            if channel is None:
+                continue
+            bound = math.exp(eps) * (1.0 + PRIVACY_TOL)
+            assert channel.privacy_ratio() <= bound, eps
+            low, high = channel.p_plus(admitted)
+            assert high <= bound * low and 1.0 - low <= bound * (1.0 - high)
+        assert all(outcomes[k / 100] for k in range(1, 1501))
+        assert not any(outcomes[eps] for eps in REFUSED_EPSILONS)
+
+    def test_compiled_blocks_meet_the_certificate(self, monkeypatch):
+        # Per column, either message's probability over the support rows
+        # varies by at most e^eps for every epsilon the sweep accepts.
+        blocks = compiled_blocks(monkeypatch)
+        assert len(blocks) == 2 and min(b.shape[1] for b in blocks) >= 8
+        for eps in SWEEP_EPSILONS:
+            channel = certified(eps)
+            if channel is None:
+                continue
+            bound = math.exp(eps) * (1.0 + PRIVACY_TOL)
+            for values in blocks:
+                plus = channel.p_plus(values)
+                for p in (plus, 1.0 - plus):
+                    assert np.all(p.max(axis=0) <= bound * p.min(axis=0)), eps
+
+    @given(st.floats(-1.0 - RANGE_TOL, 1.0 + RANGE_TOL),
+           st.floats(-1.0 - RANGE_TOL, 1.0 + RANGE_TOL),
+           st.sampled_from(SWEEP_EPSILONS))
+    @example(1.0 + RANGE_TOL, -1.0 - RANGE_TOL, 10.0)
+    def test_admitted_values_meet_the_certificate(self, v, w, epsilon):
+        # Unclipped, v = +-(1 + RANGE_TOL) breaks e^eps from eps ~ 7.6.
+        channel = certified(epsilon)
+        assume(channel is not None)
+        bound = math.exp(epsilon) * (1.0 + PRIVACY_TOL)
+        pv, pw = channel.p_plus(v), channel.p_plus(w)
+        assert pv <= bound * pw and 1.0 - pv <= bound * (1.0 - pw)
 
 
 class TestPrivacyLedger:
@@ -338,11 +403,12 @@ class TestPrivacyLedger:
 
 class TestLdpEstimateMean:
     def test_huge_epsilon_constant_one(self):
-        # c -> 1 and every message is +1, so the clamped estimate is exactly 1.
+        # At eps = 16, near the largest certified epsilon, c is within 3e-7
+        # of 1: every message is +1 and the clamped estimate is exactly 1.
         src = two_point_source()
         S = SampleStream(src, 50, seed=3)
         est = ldp_estimate_mean(
-            S, range(0, 50), lambda X, y: np.ones(len(X)), epsilon=50.0, seed=5
+            S, range(0, 50), lambda X, y: np.ones(len(X)), epsilon=16.0, seed=5
         )
         assert est == 1.0
 
@@ -682,19 +748,18 @@ class TestChannel:
     @pytest.mark.parametrize("value", [-1.0, -0.3, 0.0, 0.7, 1.0])
     def test_estimate_draws_from_the_randomizer(self, channel, value):
         # A stream span's count of +1 messages is one Binomial(n, q) draw,
-        # where q averages over the support the very probability the
-        # privacy check enumerates: R.prob(x, y, +1) for R on the channel.
-        # phi differs between rows and the weights are not uniform, so only
-        # the probs-weighted average reproduces the draw.
+        # where q averages over the support each row's randomized-response
+        # probability 1/2 + c phi/2, computed here row by row. phi differs
+        # between rows and the weights are not uniform, so only the
+        # probs-weighted average reproduces the draw.
         def phi(X, y):
             return value * y
 
         src = make_margin_source(3, 0.3, 8, seed=2, probs="random")
         assert len(set(src.labels)) == 2
         stream = SampleStream(src, 5_000, seed=19)
-        R = channel.randomizer(phi)
-        p = np.array([R.prob(x, y, 1)
-                      for x, y in zip(src.dist.matrix, src.labels)])
+        p = np.array([0.5 + channel.c * float(v) / 2.0
+                      for v in phi(src.dist.matrix, src.labels)])
         q = min(max(float(src.dist.probs @ p), 0.0), 1.0)
         for seed in range(4):
             plus = generator(seed).binomial(4_000, q)
