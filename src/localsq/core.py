@@ -3,10 +3,10 @@
 Everything downstream (oracles, compilers, learners, the lower-bound lab)
 works against the types defined here: points in the unit ball, explicit
 finite distributions, target function classes closed under negation, labeled
-sources supporting exact expectations, and seeded sample streams. A point
-set is one checked (n, d) matrix (`point_rows`); `Point` is for a single
-point. Distributions are explicit and finite on purpose: oracle-equality and
-lower-bound demonstrations need exact means, not estimates.
+sources, and seeded sample streams. A point set is one checked (n, d) matrix
+(`point_rows`); `Point` is for a single point. Distributions are explicit
+and finite on purpose: oracle-equality and lower-bound demonstrations need
+exact means, not estimates.
 """
 
 from __future__ import annotations
@@ -159,13 +159,6 @@ class FiniteDistribution:
 
     def __len__(self) -> int:
         return len(self._matrix)
-
-    def expectation(self, values: np.ndarray) -> float:
-        """Exact mean of per-support-point values."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.probs.shape:
-            raise PreconditionError("values length does not match support")
-        return float(self.probs @ values)
 
 
 class TargetFunction:
@@ -332,9 +325,6 @@ class LabeledSource:
     @property
     def dim(self) -> int:
         return self.dist.dim
-
-    def expectation(self, values: np.ndarray) -> float:
-        return self.dist.expectation(values)
 
 
 class SampleStream:

@@ -26,7 +26,7 @@ from ._rng import derive_seed, generator
 from .core import LabeledSource, SampleStream
 from .errors import BudgetExceeded, PreconditionError, SizingError
 from .sq import StatQuery, TranscriptingOracle, checked_values, \
-    evaluate_block, run_driver
+    evaluate_on_support, run_driver
 
 CHARGE_TOL = 1e-12
 PRIVACY_TOL = 1e-9
@@ -265,7 +265,7 @@ class ChannelOracle(TranscriptingOracle):
         start = self.samples_used
         stop = start + q.width * self.batch
         # Every value is checked before the ledger or transcript moves.
-        block = evaluate_block(q, self.source.dist.matrix, self.source.labels)
+        block = evaluate_on_support(q, self.source)
         self.ledger.charge_span(start, stop, self.channel.budget)
         answers = self.channel.stream_estimates(
             self.source.dist.probs, block, self.batch,

@@ -33,14 +33,13 @@ from .core import (
     hypercube_rows,
 )
 from .errors import (
-    ContractViolation,
     EvaluationError,
     PreconditionError,
     ProtocolError,
     SolverError,
 )
-from .sq import AdversarialOracle, AdversarialOracleConfig, StatQuery, \
-    decompose, run_driver
+from .sq import AdversarialOracle, StatQuery, checked_values, decompose, \
+    run_driver
 
 __all__ = [
     "LpSolution",
@@ -261,13 +260,9 @@ class HypothesisSet:
         """(m, n) value matrix on the rows of X; range-checked."""
         X = np.asarray(X, dtype=float)
         if self.m == 0:
-            return np.zeros((0, X.shape[0]))
-        H = np.vstack([np.asarray(h(X), dtype=float) for h in self.functions])
-        if H.shape != (self.m, X.shape[0]):
-            raise ContractViolation("hypothesis returned a wrong-shaped batch")
-        if H.size and not np.max(np.abs(H)) <= 1.0 + 1e-12:  # so does NaN
-            raise ContractViolation("hypothesis value outside [-1, 1]")
-        return H
+            return np.zeros((0, len(X)))
+        return np.vstack([checked_values(h(X), X.shape[:1])
+                          for h in self.functions])
 
 
 @dataclass(frozen=True)
@@ -437,9 +432,8 @@ def _run_once(driver, oracle):
 
 def _directions(q: StatQuery) -> tuple:
     """The label-correlation direction h of each coordinate of q."""
-    h = decompose(q).h
-    return (h,) if q.width == 1 else tuple(
-        lambda X, j=j: h(X)[:, j] for j in range(q.width))
+    return tuple(lambda X, j=j: decompose(q, X)[1][:, j]
+                 for j in range(q.width))
 
 
 def negation_fooling_demo(driver_factory, targets, X, m: int,
@@ -483,7 +477,7 @@ def negation_fooling_demo(driver_factory, targets, X, m: int,
     runs = []
     for target in (f, neg):
         src = LabeledSource(chosen.dist, target)
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=m))
+        oracle = AdversarialOracle(src, m)
         answers, hypothesis = _run_once(driver_factory(), oracle)
         runs.append((answers, classification_error(hypothesis, src)))
     (ans_f, err_f), (ans_n, err_n) = runs

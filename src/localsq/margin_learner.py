@@ -76,7 +76,13 @@ class SurrogateParams:
 
     def iterations_formula(self) -> int:
         """Descent horizon guaranteeing surrogate value <= alpha*beta."""
-        return math.ceil((4.0 * self.lipschitz / (self.alpha * self.beta)) ** 2)
+        try:
+            return math.ceil(
+                (4.0 * self.lipschitz / (self.alpha * self.beta)) ** 2)
+        except (ZeroDivisionError, OverflowError):
+            raise PreconditionError(
+                f"alpha = {self.alpha!r}, beta = {self.beta!r}: no finite "
+                "descent horizon") from None
 
     def coord_tolerance_formula(self) -> float:
         """Per-coordinate query tolerance keeping gradient bias <= alpha*beta/4."""
@@ -169,7 +175,11 @@ def jl_dim(gamma: float, delta: float) -> int:
         raise PreconditionError("gamma must lie in (0, 1]")
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must lie in (0, 1)")
-    return math.ceil(JL_CONSTANT * math.log(1.0 / delta) / gamma**2)
+    try:
+        return math.ceil(JL_CONSTANT * math.log(1.0 / delta) / gamma**2)
+    except (ZeroDivisionError, OverflowError):
+        raise PreconditionError(f"gamma = {gamma!r} and delta = {delta!r} "
+                                "give no finite JL dimension") from None
 
 
 def identity_projection(d: int) -> ProjectionMap:

@@ -13,7 +13,9 @@ one `TranscriptingOracle.ask`, which answers and records every query: the
 exact oracle (the true mean), a perturbing oracle exercising
 worst-case-but-valid answer policies, an adversarial oracle that hides
 the labels of weakly-correlated queries, and the compiled channel,
-`localsq.ldp.ChannelOracle`. A transcript records each answer with its
+`localsq.ldp.ChannelOracle`. All four answer from `evaluate_on_support`,
+fn(X, f(X)) on the support, the values the channel randomizes; `decompose`
+splits a query as g(x) + y h(x). A transcript records each answer with its
 interaction round so that label-non-adaptivity is a checkable property of
 a run, not a promise.
 """
@@ -67,13 +69,23 @@ class StatQuery:
 
 
 def checked_values(values, shape: tuple) -> np.ndarray:
-    """values as a float array; refused unless of this shape and in [-1, 1]."""
-    values = np.asarray(values, dtype=float)
+    """values as a float array; refused unless real numbers of this shape in
+    [-1, 1]. n values fill an (n, 1) shape."""
+    try:
+        values = np.asarray(values)
+        if values.dtype.kind not in "biuf":  # strings, complex, objects
+            raise TypeError(f"{values.dtype} values")
+    except (TypeError, ValueError) as exc:  # ValueError: a ragged batch
+        raise ContractViolation(f"values are not real numbers: {exc}") from exc
+    values = values.astype(float, copy=False)
+    if values.shape == shape[:1] and shape[1:] == (1,):
+        values = values[:, None]
     if values.shape != shape:
-        raise ContractViolation("query fn returned a wrong-shaped batch")
+        raise ContractViolation(f"a batch of shape {values.shape} where "
+                                f"{shape} is due")
     worst = float(np.abs(values).max()) if values.size else 0.0
     if not worst <= 1.0 + RANGE_TOL:  # NaN fails this test too
-        raise ContractViolation(f"query value {worst:.6g} outside [-1, 1]")
+        raise ContractViolation(f"value {worst:.6g} outside [-1, 1]")
     return values
 
 
@@ -90,35 +102,28 @@ def evaluate_block(q: StatQuery, X: np.ndarray, y: np.ndarray | None
         except (TypeError, AttributeError) as exc:
             raise ContractViolation("declared label_dependent=False but fn "
                                     f"reads the labels: {exc}") from exc
-    values = np.asarray(values, dtype=float)
-    if q.width == 1 and values.ndim == 1:
-        values = values[:, None]
     return checked_values(values, (X.shape[0], q.width))
 
 
-@dataclass(frozen=True)
-class QueryDecomposition:
-    """Split of a query into label-free and label-weighted parts.
-
-    For every point and label, g(x) + y * h(x) reconstructs the query value.
-    """
-
-    g: Callable[[np.ndarray], np.ndarray]
-    h: Callable[[np.ndarray], np.ndarray]
+def evaluate_on_support(q: StatQuery, src: LabeledSource) -> np.ndarray:
+    """fn(X, f(X)) on the support, checked; every oracle answers from it."""
+    return evaluate_block(q, src.dist.matrix, src.labels)
 
 
-def decompose(q: StatQuery) -> QueryDecomposition:
-    """g(x) = (fn(x,+1) + fn(x,-1)) / 2, h(x) = (fn(x,+1) - fn(x,-1)) / 2."""
+def decompose(q: StatQuery, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q on the rows of X split as g(x) + y h(x), as checked (n, width) arrays.
 
-    def part(sign: float):
-        def fn(X: np.ndarray) -> np.ndarray:
-            X = np.asarray(X, dtype=float)
-            ones = np.ones(X.shape[0])
-            return (np.asarray(q.fn(X, ones))
-                    + sign * np.asarray(q.fn(X, -ones))) / 2.0
-        return fn
-
-    return QueryDecomposition(g=part(1.0), h=part(-1.0))
+    g = (fn(x, +1) + fn(x, -1)) / 2 and h = (fn(x, +1) - fn(x, -1)) / 2, from
+    one call of fn: a label-free block on X alone, with h = 0; a
+    label-dependent block on X stacked over both labels."""
+    if not q.label_dependent:
+        g = evaluate_block(q, X, None)
+        return g, np.zeros_like(g)
+    n = X.shape[0]
+    ones = np.ones(n)
+    both = evaluate_block(q, np.vstack([X, X]), np.concatenate([ones, -ones]))
+    plus, minus = both[:n], both[n:]
+    return (plus + minus) / 2.0, (plus - minus) / 2.0
 
 
 @dataclass(frozen=True)
@@ -211,26 +216,6 @@ def assert_label_non_adaptive(t: InteractivityTranscript) -> bool:
     return all(b.round == 0 for b in t.blocks if b.label_dependent)
 
 
-def _evaluate_on_support(q: StatQuery, src: LabeledSource):
-    """fn on the support, range checked, under labels +1, -1 and the target's.
-
-    Returns (plus, minus, realized), each (n, width), where realized[i] =
-    fn(x_i, f(x_i)). fn is called once: a label-free block on the points
-    alone, its one array being all three; a label-dependent block on the
-    support stacked over both labels.
-    """
-    X = src.dist.matrix
-    if not q.label_dependent:
-        realized = evaluate_block(q, X, None)
-        return realized, realized, realized
-    n = X.shape[0]
-    ones = np.ones(n)
-    both = evaluate_block(q, np.vstack([X, X]), np.concatenate([ones, -ones]))
-    plus, minus = both[:n], both[n:]
-    realized = np.where(src.labels[:, None] > 0, plus, minus)
-    return plus, minus, realized
-
-
 def _column_means(src: LabeledSource, values: np.ndarray) -> np.ndarray:
     """Exact mean of each column, each taken as probs @ a contiguous column."""
     probs = src.dist.probs
@@ -263,8 +248,7 @@ class ExactOracle(TranscriptingOracle):
         self.src = src
 
     def _answer(self, q: StatQuery) -> np.ndarray:
-        _, _, realized = _evaluate_on_support(q, self.src)
-        return _column_means(self.src, realized)
+        return _column_means(self.src, evaluate_on_support(q, self.src))
 
 
 PERTURBATION_POLICIES = ("grid", "plus_tau", "minus_tau", "uniform")
@@ -278,42 +262,25 @@ class PerturbingOracle(TranscriptingOracle):
     minus_tau exact mean minus tau
     uniform   exact mean plus a seeded uniform draw from [-tau, tau]
 
-    A block is answered coordinate by coordinate, one draw each.
+    A block's uniform offsets are one vector draw, one per coordinate.
     """
 
     def __init__(self, src: LabeledSource, policy: str, seed: int = 0):
         super().__init__()
         if policy not in PERTURBATION_POLICIES:
             raise PreconditionError(f"unknown policy {policy!r}")
-        self.src = src
-        self.policy = policy
+        self.src, self.policy = src, policy
         self._rng = generator(derive_seed(seed, "perturbing-oracle"))
 
     def _answer(self, q: StatQuery) -> np.ndarray:
-        _, _, realized = _evaluate_on_support(q, self.src)
-        return np.array([self._perturb(exact, q.tau)
-                         for exact in _column_means(self.src, realized)])
-
-    def _perturb(self, exact: float, tau: float) -> float:
+        exact = _column_means(self.src, evaluate_on_support(q, self.src))
         if self.policy == "grid":
-            return float(np.floor(exact / tau + 0.5) * tau)
+            return np.floor(exact / q.tau + 0.5) * q.tau
         if self.policy == "plus_tau":
-            return exact + tau
+            return exact + q.tau
         if self.policy == "minus_tau":
-            return exact - tau
-        return exact + float(self._rng.uniform(-tau, tau))
-
-
-@dataclass(frozen=True)
-class AdversarialOracleConfig:
-    """Source plus a query budget m; the correlation threshold is 1/m."""
-
-    src: LabeledSource
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise PreconditionError("query budget must be >= 1")
+            return exact - q.tau
+        return exact + self._rng.uniform(-q.tau, q.tau, size=len(exact))
 
 
 class AdversarialOracle(TranscriptingOracle):
@@ -329,24 +296,23 @@ class AdversarialOracle(TranscriptingOracle):
     counts against the budget m; a refused query spends none of it.
     """
 
-    def __init__(self, cfg: AdversarialOracleConfig):
+    def __init__(self, src: LabeledSource, m: int):
         super().__init__()
-        self.cfg = cfg
+        if m < 1:
+            raise PreconditionError("query budget must be >= 1")
+        self.src, self.m = src, m
         self.branches: list[str] = []
 
     def _answer(self, q: StatQuery) -> np.ndarray:
-        if len(self.transcript) + q.width > self.cfg.m:
+        if len(self.transcript) + q.width > self.m:
             raise BudgetExceeded(
-                f"adversarial oracle budget of {self.cfg.m} queries exhausted"
-            )
-        src = self.cfg.src
-        plus, minus, realized = _evaluate_on_support(q, src)
-        h_vals = (plus - minus) / 2.0
-        g_vals = (plus + minus) / 2.0
-        correlations = _column_means(src, src.labels[:, None] * h_vals)
-        exact = _column_means(src, realized)
-        label_blind = _column_means(src, g_vals)
-        concede = np.abs(correlations) >= 1.0 / self.cfg.m
+                f"adversarial oracle budget of {self.m} queries exhausted")
+        src = self.src
+        g, h = decompose(q, src.dist.matrix)
+        exact = _column_means(src, evaluate_on_support(q, src))
+        correlations = _column_means(src, src.labels[:, None] * h)
+        label_blind = _column_means(src, g)
+        concede = np.abs(correlations) >= 1.0 / self.m
         self.branches += ["exact" if c else "label_blind" for c in concede]
         return np.where(concede, exact, label_blind)
 

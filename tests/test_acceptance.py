@@ -297,7 +297,8 @@ def test_criterion_06_halfspace():
                 seed=derive_seed(0, f"acc6-{oracle}-run", i))
             transcript = info.transcript
             assert assert_label_non_adaptive(transcript), (oracle, i)
-            dep = sum(1 for e in transcript.entries if e.label_dependent)
+            dep = sum(len(b.answers) for b in transcript.blocks
+                      if b.label_dependent)
             assert dep == info.working_dim == d, (oracle, i, dep)
             if classification_error(hyp, src) <= alpha:
                 good += 1

@@ -156,6 +156,23 @@ class TestConfig:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: tau = {argv[2]} ")
 
+    @pytest.mark.parametrize("argv", [
+        ["learn-halfspace", "--gamma", "1e-200"],
+        ["jl-check", "--gamma", "1e-200"],
+        ["learn-halfspace", "--delta", "1e-320"],
+        ["jl-check", "--delta", "1e-320"],
+        ["learn-halfspace", "--alpha", "1e-300"],
+    ], ids=lambda a: f"{a[0]}{a[1]}")
+    def test_size_formula_without_a_finite_value_refused(self, tmp_path,
+                                                         capsys, argv):
+        # gamma^2 underflows to 0 in the JL dimension, 1/delta overflows,
+        # or the descent horizon's square overflows: refused naming the
+        # value, with no traceback.
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{argv[1][2:]} = {float(argv[2])!r}" in err
+
     def test_direct_config_refusal_names_the_key(self):
         with pytest.raises(PreconditionError, match="^tau: "):
             ExperimentConfig(command="learn-dl", tau=-1.0)

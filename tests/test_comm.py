@@ -87,6 +87,16 @@ class TestOneBitExtractor:
             comm_estimate_mean(S, range(0, 10),
                                lambda X, y: 1.5 * np.ones(len(X)), seed=0)
 
+    @pytest.mark.parametrize("fn", [
+        lambda X, y: np.full(len(X), "a"),
+        lambda X, y: X[:, 0] + 0.5j,
+        lambda X, y: [object()] * len(X),
+    ], ids=["string", "complex", "object"])
+    def test_non_real_values_rejected(self, fn):
+        S = SampleStream(two_point_source(), 10, seed=1)
+        with pytest.raises(ContractViolation, match="not real numbers"):
+            comm_estimate_mean(S, range(0, 10), fn, seed=0)
+
 
 class TestCommEstimateMean:
     def test_extreme_value_exact(self):

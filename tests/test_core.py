@@ -160,11 +160,6 @@ class TestFiniteDistribution:
         assert other.matrix is dist.matrix
         assert other.probs.tolist() == [0.25, 0.75]
 
-    def test_expectation_exact(self):
-        pts = [Point(np.array([1.0])), Point(np.array([-1.0]))]
-        dist = FiniteDistribution(pts, [0.25, 0.75])
-        assert dist.expectation(np.array([1.0, -1.0])) == pytest.approx(-0.5)
-
 
 class TestClassificationError:
     def test_identity_is_zero(self):

@@ -50,7 +50,7 @@ from localsq.sq import (
     ExactOracle,
     InteractivityTranscript,
     StatQuery,
-    evaluate_block,
+    evaluate_on_support,
 )
 
 
@@ -63,6 +63,15 @@ def two_point_source(a=1.0, b=-1.0, pa=0.5):
     dist = FiniteDistribution(pts, [pa, 1 - pa])
     labels = (1 if a > 0 else -1, 1 if b > 0 else -1)
     return LabeledSource(dist, Explicit(pts, labels))
+
+
+# Query values that are not real numbers, each refused as a contract
+# violation like an out-of-range value.
+NON_REAL = pytest.mark.parametrize("fn", [
+    lambda X, y: np.full(len(X), "a"),
+    lambda X, y: X[:, 0] + 0.5j,
+    lambda X, y: [object()] * len(X),
+], ids=["string", "complex", "object"])
 
 
 class NonInteractiveDriver:
@@ -224,12 +233,12 @@ def compiled_blocks(monkeypatch) -> list:
     learn_halfspace run draw from, side by side per support size."""
     seen = {}
 
-    def record(q, X, y):
-        values = evaluate_block(q, X, y)
-        seen.setdefault(len(X), []).append(values)
+    def record(q, src):
+        values = evaluate_on_support(q, src)
+        seen.setdefault(len(src.labels), []).append(values)
         return values
 
-    monkeypatch.setattr(ldp, "evaluate_block", record)
+    monkeypatch.setattr(ldp, "evaluate_on_support", record)
     src = make_margin_source(4, 0.3, 12, seed=8, probs="random")
     probes = [StatQuery(fn=(lambda X, y, j=j: y * X[:, j % 4]) if j % 2
                         else (lambda X, y, j=j: X[:, j % 4]),
@@ -509,6 +518,12 @@ class TestLdpEstimateMean:
                 S, range(0, 5), lambda X, y: 2.0 * np.ones(len(X)), 1.0, 0
             )
 
+    @NON_REAL
+    def test_non_real_values_rejected(self, fn):
+        S = SampleStream(two_point_source(), 5, seed=1)
+        with pytest.raises(ContractViolation, match="not real numbers"):
+            ldp_estimate_mean(S, range(0, 5), fn, 1.0, 0)
+
 
 class TestCompileToLdp:
     # on_source: compile on the LabeledSource itself, which is read as a
@@ -564,6 +579,39 @@ class TestCompileToLdp:
         with pytest.raises(ContractViolation):
             compile_sq_to_ldp(driver, S, 1.0, 0.3, 0.2, seed=4)
         assert calls == []
+
+    @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
+                             ids=["ldp", "comm"])
+    @NON_REAL
+    @pytest.mark.parametrize("label_dependent", [True, False])
+    def test_non_real_block_refused_before_any_charge(
+            self, channel, fn, label_dependent):
+        src = make_margin_source(3, 0.3, 10, seed=5)
+        q = StatQuery(fn=fn, tau=0.3, label_dependent=label_dependent)
+        oracle = ChannelOracle(src, channel, 1, 0.3, 0.2, seed=4)
+        with pytest.raises(ContractViolation, match="not real numbers"):
+            oracle.ask(q, 0)
+        assert oracle.ledger.per_index_spent == {}
+        assert len(oracle.transcript) == 0 and oracle.samples_used == 0
+
+    def test_exact_oracle_and_channel_evaluate_the_same_examples(self):
+        # Both call a label-dependent fn once, on the support under the
+        # target's labels, so the exact mean is taken over the values the
+        # channel randomizes.
+        src = make_margin_source(3, 0.3, 10, seed=5)
+        calls = []
+
+        def fn(X, y):
+            calls.append((X.copy(), y.copy()))
+            return y * X[:, 0]
+
+        q = StatQuery(fn=fn, tau=0.3, label_dependent=True)
+        ExactOracle(src).ask(q, 0)
+        ChannelOracle(src, ldp_channel(1.0), 1, 0.3, 0.2, seed=4).ask(q, 0)
+        assert len(calls) == 2
+        for X, y in calls:
+            assert np.array_equal(X, src.dist.matrix)
+            assert np.array_equal(y, src.labels)
 
     @pytest.mark.parametrize("channel", [ldp_channel(1.0), ONE_BIT],
                              ids=["ldp", "comm"])

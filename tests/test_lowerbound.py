@@ -261,6 +261,16 @@ class TestTableFunction:
         with pytest.raises(ContractViolation):
             hset.evaluate(np.vstack([a.coords, b.coords]))
 
+    def test_hypothesis_set_refuses_ragged_hypotheses(self):
+        # Outputs of different lengths are refused one hypothesis at a
+        # time, before stacking, so no raw numpy error escapes.
+        a, b = self.points()
+        X = np.vstack([a.coords, b.coords])
+        hset = HypothesisSet((table_function((a, b), (1, -1)),
+                              lambda X: np.zeros(X.shape[0] + 1)))
+        with pytest.raises(ContractViolation, match="shape"):
+            hset.evaluate(X)
+
     def test_hypothesis_set_on_an_empty_batch(self):
         a, _ = self.points()
         hset = HypothesisSet((lambda X: np.zeros(X.shape[0]),

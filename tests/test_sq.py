@@ -20,12 +20,16 @@ from localsq.core import (
     Point,
     make_margin_source,
 )
-from localsq.errors import BudgetExceeded, ContractViolation, ProtocolError
+from localsq.errors import (
+    BudgetExceeded,
+    ContractViolation,
+    PreconditionError,
+    ProtocolError,
+)
 from localsq.margin_learner import SurrogateParams, grad_f1_query
 from localsq.schemas import validate_artifact
 from localsq.sq import (
     AdversarialOracle,
-    AdversarialOracleConfig,
     ExactOracle,
     InteractivityTranscript,
     PerturbingOracle,
@@ -63,24 +67,24 @@ def correlation_query(weights, tau=0.1):
 class TestDecompose:
     def test_pure_correlational(self):
         q = correlation_query([1.0, 0.0])
-        d = decompose(q)
         X = np.array([[0.3, 0.4], [-0.5, 0.1]])
-        assert np.allclose(d.g(X), 0.0)
-        assert np.allclose(d.h(X), X[:, 0])
+        g, h = decompose(q, X)
+        assert g.shape == h.shape == (2, 1)
+        assert np.allclose(g, 0.0)
+        assert np.allclose(h[:, 0], X[:, 0])
 
     def test_label_independent(self):
         q = StatQuery(fn=lambda X, y: X[:, 1], tau=0.1, label_dependent=False)
-        d = decompose(q)
         X = np.array([[0.3, 0.4], [-0.5, 0.1]])
-        assert np.allclose(d.g(X), X[:, 1])
-        assert np.allclose(d.h(X), 0.0)
+        g, h = decompose(q, X)
+        assert np.allclose(g[:, 0], X[:, 1])
+        assert np.allclose(h, 0.0)
 
     def test_positive_label_indicator(self):
         q = StatQuery(fn=lambda X, y: (1 + y) / 2, tau=0.1, label_dependent=True)
-        d = decompose(q)
-        X = np.array([[0.1], [0.2], [0.3]])
-        assert np.allclose(d.g(X), 0.5)
-        assert np.allclose(d.h(X), 0.5)
+        g, h = decompose(q, np.array([[0.1], [0.2], [0.3]]))
+        assert np.allclose(g, 0.5)
+        assert np.allclose(h, 0.5)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -93,20 +97,19 @@ class TestDecompose:
             return np.clip(X @ a + y * np.tanh(X @ b), -1, 1)
 
         q = StatQuery(fn=fn, tau=0.1, label_dependent=True)
-        d = decompose(q)
         X = rng.uniform(-0.5, 0.5, size=(6, 3))
+        g, h = decompose(q, X)
         for y in (1.0, -1.0):
             ys = np.full(6, y)
-            assert np.max(np.abs(d.g(X) + y * d.h(X) - fn(X, ys))) <= 1e-12
+            assert np.max(np.abs(g[:, 0] + y * h[:, 0] - fn(X, ys))) <= 1e-12
 
     def test_magnitude_bound(self):
         # |g| + |h| = max(|fn(x,+1)|, |fn(x,-1)|) <= 1 for in-range queries.
         rng = np.random.default_rng(5)
         fn = lambda X, y: np.clip(X[:, 0] + 0.5 * y, -1, 1)
         q = StatQuery(fn=fn, tau=0.1, label_dependent=True)
-        d = decompose(q)
-        X = rng.uniform(-1, 1, size=(50, 1))
-        assert np.all(np.abs(d.g(X)) + np.abs(d.h(X)) <= 1 + 1e-12)
+        g, h = decompose(q, rng.uniform(-1, 1, size=(50, 1)))
+        assert np.all(np.abs(g) + np.abs(h) <= 1 + 1e-12)
 
 
 class TestExactOracle:
@@ -195,7 +198,6 @@ class TestPerturbingOracle:
 
     def test_unknown_policy_rejected(self):
         src = point_source([[0.0]], (1,))
-        from localsq.errors import PreconditionError
         with pytest.raises(PreconditionError):
             PerturbingOracle(src, "adversarial")
 
@@ -230,14 +232,14 @@ class TestPerturbingOracle:
 class TestAdversarialOracle:
     def test_label_independent_query_answered_exactly(self):
         src = point_source([[0.6], [-0.6]], (1, -1))
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=5))
+        oracle = AdversarialOracle(src, 5)
         q = StatQuery(fn=lambda X, y: X[:, 0], tau=0.2, label_dependent=False)
         assert oracle.ask(q, 0) == 0.0
         assert oracle.branches == ["label_blind"]
 
     def test_high_correlation_gets_exact_answer(self):
         src = point_source([[1.0], [-1.0]], (1, -1))
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=5))
+        oracle = AdversarialOracle(src, 5)
         q = correlation_query([1.0])
         # E[f h] = 1 >= 1/5, so the exact mean E[y x] = 1 comes back.
         assert oracle.ask(q, 0) == 1.0
@@ -245,7 +247,7 @@ class TestAdversarialOracle:
 
     def test_low_correlation_answered_label_blind(self):
         src = point_source([[1.0, 0.0], [-1.0, 0.0]], (1, -1))
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=5))
+        oracle = AdversarialOracle(src, 5)
         weak = StatQuery(fn=lambda X, y: y * 0.1 * X[:, 1], tau=0.2,
                          label_dependent=True)
         # h(x) = 0.1 x_2 vanishes on this support, so E[f h] = 0 < 1/5 and
@@ -259,7 +261,7 @@ class TestAdversarialOracle:
             [[0.7, 0.7], [-0.7, 0.7], [0.7, -0.7], [-0.7, -0.7]],
             (1, -1, 1, -1),
         )
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=3))
+        oracle = AdversarialOracle(src, 3)
         q = StatQuery(fn=lambda X, y: 0.5 * X[:, 0] + y * 0.1 * X[:, 1],
                       tau=0.4, label_dependent=True)
         # E[f x_2] = 0, below 1/3: answer must be E[0.5 x_1] = 0.
@@ -273,22 +275,27 @@ class TestAdversarialOracle:
         c = 1.0 / m
         q = StatQuery(fn=lambda X, y: y * c * X[:, 0], tau=0.5,
                       label_dependent=True)
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=m))
+        oracle = AdversarialOracle(src, m)
         assert oracle.ask(q, 0) == pytest.approx(c)
         assert oracle.branches == ["exact"]
 
     def test_budget_enforced(self):
         src = point_source([[1.0], [-1.0]], (1, -1))
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=2))
+        oracle = AdversarialOracle(src, 2)
         q = StatQuery(fn=lambda X, y: X[:, 0], tau=0.5, label_dependent=False)
         oracle.ask(q, 0)
         oracle.ask(q, 0)
         with pytest.raises(BudgetExceeded):
             oracle.ask(q, 0)
 
+    def test_budget_below_one_refused(self):
+        src = point_source([[1.0], [-1.0]], (1, -1))
+        with pytest.raises(PreconditionError, match="budget"):
+            AdversarialOracle(src, 0)
+
     def test_refused_query_spends_no_budget(self):
         src = point_source([[1.0], [-1.0]], (1, -1))
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=1))
+        oracle = AdversarialOracle(src, 1)
         out_of_range = StatQuery(fn=lambda X, y: 2.0 * X[:, 0], tau=0.5,
                                  label_dependent=False)
         with pytest.raises(ContractViolation):
@@ -302,7 +309,7 @@ class TestAdversarialOracle:
 
     def test_out_of_order_round_changes_no_state(self):
         src = point_source([[1.0], [-1.0]], (1, -1))
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=3))
+        oracle = AdversarialOracle(src, 3)
         q = StatQuery(fn=lambda X, y: X[:, 0], tau=0.5, label_dependent=False)
         oracle.ask(q, 1)
         with pytest.raises(ProtocolError):
@@ -315,7 +322,7 @@ class TestAdversarialOracle:
         rng = np.random.default_rng(seed)
         src = make_margin_source(3, 0.2, 8, seed=seed)
         m = int(rng.integers(2, 12))
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=m))
+        oracle = AdversarialOracle(src, m)
         exact = ExactOracle(src)
         a = rng.uniform(-0.4, 0.4, size=3)
         b = rng.uniform(-0.4, 0.4, size=3)
@@ -339,8 +346,8 @@ class TestAdversarialOracle:
             StatQuery(fn=lambda X, y: X[:, 0] * X[:, 1], tau=0.5,
                       label_dependent=False),
         ]
-        a = AdversarialOracle(AdversarialOracleConfig(src, m=3))
-        b = AdversarialOracle(AdversarialOracleConfig(flipped, m=3))
+        a = AdversarialOracle(src, 3)
+        b = AdversarialOracle(flipped, 3)
         ans_a = [a.ask(q, i) for i, q in enumerate(queries)]
         ans_b = [b.ask(q, i) for i, q in enumerate(queries)]
         assert ans_a == ans_b
@@ -530,7 +537,7 @@ class TestBlockQueries:
 
     def test_adversarial_budget_counts_coordinates(self):
         src = make_margin_source(3, 0.3, 10, seed=6)
-        oracle = AdversarialOracle(AdversarialOracleConfig(src, m=5))
+        oracle = AdversarialOracle(src, 5)
         oracle.ask(label_block(3), 0)
         assert len(oracle.branches) == len(oracle.transcript) == 3
         with pytest.raises(BudgetExceeded):
@@ -605,12 +612,36 @@ def stacked_reference(q, src, seed, m):
             ["exact" if c else "label_blind" for c in concede])
 
 
+EVERY_ORACLE = pytest.mark.parametrize("make_oracle", [
+    ExactOracle,
+    lambda src: PerturbingOracle(src, "uniform", seed=3),
+    lambda src: AdversarialOracle(src, 5),
+], ids=["exact", "perturbing", "adversarial"])
+
+
+class TestNonRealValues:
+    @EVERY_ORACLE
+    @pytest.mark.parametrize("fn", [
+        lambda X, y: np.full(len(X), "a"),
+        lambda X, y: X[:, 0] + 0.5j,
+        lambda X, y: [object()] * len(X),
+        lambda X, y: [[0.5, 0.5]] + [0.5] * (len(X) - 1),
+    ], ids=["string", "complex", "object", "ragged"])
+    @pytest.mark.parametrize("label_dependent", [True, False])
+    def test_refused_recording_nothing(self, make_oracle, fn,
+                                       label_dependent):
+        # Values that are not real numbers are refused as a contract
+        # violation, like out-of-range ones, before anything is recorded.
+        oracle = make_oracle(make_margin_source(3, 0.3, 10, seed=8))
+        q = StatQuery(fn=fn, tau=0.1, label_dependent=label_dependent)
+        with pytest.raises(ContractViolation, match="not real numbers"):
+            oracle.ask(q, 0)
+        assert len(oracle.transcript) == 0
+        assert getattr(oracle, "branches", []) == []
+
+
 class TestLabelFreeEvaluation:
-    @pytest.mark.parametrize("make_oracle", [
-        ExactOracle,
-        lambda src: PerturbingOracle(src, "uniform", seed=3),
-        lambda src: AdversarialOracle(AdversarialOracleConfig(src, m=5)),
-    ], ids=["exact", "perturbing", "adversarial"])
+    @EVERY_ORACLE
     @pytest.mark.parametrize("q", LYING_LABEL_FREE,
                              ids=["reads-y", "one-column-reads-y", "returns-y",
                                   "y-attribute"])
@@ -654,7 +685,7 @@ class TestLabelFreeEvaluation:
         for q, src, case, m in self.random_cases(kind):
             exact, perturbed, adversarial, branches = stacked_reference(
                 q, src, case, m)
-            adv = AdversarialOracle(AdversarialOracleConfig(src, m))
+            adv = AdversarialOracle(src, m)
             assert np.array_equal(np.ravel(ExactOracle(src).ask(q, 0)), exact)
             assert np.array_equal(np.ravel(PerturbingOracle(
                 src, "uniform", seed=case).ask(q, 0)), perturbed)
@@ -668,7 +699,7 @@ class TestLabelFreeEvaluation:
         for q, src, case, m in self.random_cases("product", count=200):
             exact, _, adversarial, branches = stacked_reference(
                 q, src, case, m)
-            adv = AdversarialOracle(AdversarialOracleConfig(src, m))
+            adv = AdversarialOracle(src, m)
             assert np.allclose(np.ravel(ExactOracle(src).ask(q, 0)), exact,
                                rtol=0.0, atol=1e-15)
             assert np.allclose(np.ravel(adv.ask(q, 0)), adversarial,
