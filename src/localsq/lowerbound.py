@@ -86,13 +86,15 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex_phase(T, basis, cost, total, max_iterations, dump_label):
-    """Bland-rule pivoting until no reduced cost among the first `total`
-    columns is negative."""
+def _simplex_phase(T, basis, cost, max_iterations, dump_label):
+    """Bland-rule pivoting until no reduced cost of a column of T is
+    negative. Basis indices past T's columns are artificials that `cost`
+    prices but that never re-enter."""
+    total = T.shape[1] - 1
     iterations = 0
     while True:
-        reduced = cost - cost[basis] @ T[:, :-1]
-        negative = reduced[:total] < -_PIVOT_TOL
+        reduced = cost[:total] - cost[basis] @ T[:, :-1]
+        negative = reduced < -_PIVOT_TOL
         entering = int(negative.argmax())
         if not negative[entering]:
             return iterations
@@ -159,11 +161,12 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     b[flip] *= -1.0
     m_rows = A.shape[0]
 
-    # Phase 1: artificial basis, minimize the infeasibility sum.
-    T = np.hstack([A, np.eye(m_rows), b[:, None]])
+    # Phase 1: artificial basis, minimize the infeasibility sum. Artificial
+    # i is basis index total + i; its unit column is never stored.
+    T = np.hstack([A, b[:, None]])
     basis = np.arange(total, total + m_rows)
     cost1 = np.concatenate([np.zeros(total), np.ones(m_rows)])
-    iters = _simplex_phase(T, basis, cost1, total, max_iterations, "phase 1")
+    iters = _simplex_phase(T, basis, cost1, max_iterations, "phase 1")
     infeasibility = float(cost1[basis] @ T[:, -1])
     if infeasibility > 1e-9:
         raise SolverError(
@@ -185,10 +188,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
         b = b[keep]
         basis = basis[keep]
 
-    # Phase 2 on the real columns.
-    T = np.hstack([T[:, :total], T[:, -1:]])
+    # Phase 2 on the same tableau.
     cost2 = np.concatenate([c, np.zeros(n_ub)])
-    iters += _simplex_phase(T, basis, cost2, total, max_iterations, "phase 2")
+    iters += _simplex_phase(T, basis, cost2, max_iterations, "phase 2")
 
     x_full = np.zeros(total)
     x_full[basis] = T[:, -1]
