@@ -3,12 +3,12 @@
 The central question: given a fixed set of label-correlation directions
 h_1..h_m, how well can a distribution D suppress every |E_D[f h_i]|? The
 minimax value is a linear program over the probability simplex, solved here
-by a small self-contained dense simplex method (the instances have at most
-a few hundred variables, so no external solver is warranted). Each pivot
-updates, in one numpy statement, only the rows with a nonzero in the pivot
-column, and the ratio test is computed as one vector; Bland's rule, with
-its sequential tie-break over the candidate rows, fixes the pivot sequence
-and so every bit of the result. A value below
+by a small self-contained dense two-phase simplex method (the instances
+have at most a few hundred variables, so no external solver is warranted).
+Phase 1 starts from the slack basis, and artificials are basis indices
+with no column, so both phases pivot one tableau [A | b]; x is solved from
+the final basis. Bland's rule, with its sequential tie-break, fixes the
+pivot sequence and so every bit of the result. A value below
 1/m certifies that an adversarial tolerance-1/m oracle can answer every
 query of a label-non-adaptive learner without revealing the sign of the
 target, which the fooling demo then exhibits end to end.
@@ -62,7 +62,7 @@ _GAP_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
-# Dense two-phase simplex with Bland's rule.
+# Dense two-phase simplex with Bland's rule, started from the slack basis.
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,11 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def _simplex_phase(T, basis, cost, max_iterations, dump_label):
-    """Bland-rule pivoting until no reduced cost of a column of T is
-    negative. Basis indices past T's columns are artificials that `cost`
-    prices but that never re-enter."""
-    total = T.shape[1] - 1
+    """Bland-rule pivoting until no column of T has a negative reduced cost;
+    basis indices past T's columns are artificials, which never re-enter."""
     iterations = 0
     while True:
-        reduced = cost[:total] - cost[basis] @ T[:, :-1]
+        reduced = cost[:T.shape[1] - 1] - cost[basis] @ T[:, :-1]
         negative = reduced < -_PIVOT_TOL
         entering = int(negative.argmax())
         if not negative[entering]:
@@ -161,10 +159,11 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     b[flip] *= -1.0
     m_rows = A.shape[0]
 
-    # Phase 1: artificial basis, minimize the infeasibility sum. Artificial
-    # i is basis index total + i; its unit column is never stored.
+    # Phase 1: unflipped inequality rows on their slacks, row i otherwise on
+    # artificial total + i; minimize the artificials' sum.
     T = np.hstack([A, b[:, None]])
-    basis = np.arange(total, total + m_rows)
+    rows = np.arange(m_rows)
+    basis = np.where(~flip & (rows < n_ub), n + rows, total + rows)
     cost1 = np.concatenate([np.zeros(total), np.ones(m_rows)])
     iters = _simplex_phase(T, basis, cost1, max_iterations, "phase 1")
     infeasibility = float(cost1[basis] @ T[:, -1])
@@ -182,18 +181,15 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
                 _pivot(T, basis, i, int(cols[0]))
             else:
                 keep[i] = False
-    if not np.all(keep):
-        T = T[keep]
-        A = A[keep]
-        b = b[keep]
-        basis = basis[keep]
+    T, A, b, basis = T[keep], A[keep], b[keep], basis[keep]
 
     # Phase 2 on the same tableau.
     cost2 = np.concatenate([c, np.zeros(n_ub)])
     iters += _simplex_phase(T, basis, cost2, max_iterations, "phase 2")
 
+    # x from the final basis: the tableau's b column drifts over the pivots.
     x_full = np.zeros(total)
-    x_full[basis] = T[:, -1]
+    x_full[basis] = np.linalg.solve(A[:, basis], b)
     x = x_full[:n]
     value = float(c @ x)
     dual = np.linalg.solve(A[:, basis].T, cost2[basis])

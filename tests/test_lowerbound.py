@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localsq import lowerbound
+from localsq._rng import generator
 from localsq.core import (
     DecisionList,
     Explicit,
@@ -22,6 +23,7 @@ from localsq.core import (
     LabeledSource,
     Point,
     embed_hypercube,
+    hypercube_rows,
     random_decision_list,
 )
 from localsq.errors import (
@@ -87,9 +89,9 @@ def correlation_instance(bits, n_rows, seed):
     return random_decision_list(bits, 3, seed), hset, points
 
 
-PINNED_ITERATIONS = [92, 68, 109, 145, 89, 96, 95, 75, 73, 70, 80, 102, 5037]
+PINNED_ITERATIONS = [76, 52, 92, 129, 73, 71, 79, 59, 44, 54, 57, 82, 4973]
 PINNED_DIGEST = (
-    "38d5a0dd3c9dfded32dd2d0a6a06d77267e1cd03c6f39e9014d04394e303485e")
+    "04e012e8f57c9ccd5bc150f0da41d390f3cb0710fa89dafc80bb930043a88e5e")
 
 
 class TestSolveLp:
@@ -127,7 +129,8 @@ class TestSolveLp:
         assert isinstance(info.value.dump, dict)
 
     def test_pivot_sequence_pinned(self, monkeypatch):
-        # Recorded on the scalar-loop simplex. Bland's rule fixes the pivot
+        # Recorded on the simplex that starts phase 1 from the slack basis
+        # and reads x from the final basis. Bland's rule fixes the pivot
         # sequence, so any rewrite of the tableau arithmetic must reproduce
         # every iteration count and every byte of x, the duals and D (on
         # IEEE doubles and the BLAS build these were recorded with).
@@ -375,6 +378,29 @@ class TestWorstCorrelationDistribution:
         assert set(obj) == {"D", "value", "target"}
         assert obj["target"]["kind"] == "explicit"
         assert len(obj["D"]) == 3
+
+    @pytest.mark.parametrize("labels", [
+        np.ones(64), -np.ones(64), *generator(1).choice([-1.0, 1.0], (3, 64)),
+    ], ids=["constant+1", "constant-1", "random0", "random1", "random2"])
+    def test_degenerate_cube_programs_match_highs(self, labels):
+        # The 6-bit cube with 64 random +-1 hypotheses: all 128 inequality
+        # rows have b = 0, so every pivot from the slack basis is
+        # degenerate. The constant -1 target once ended in a duality gap.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        points = hypercube_rows(6)
+        rows = generator(0).choice([-1.0, 1.0], (64, 64))
+        hset = HypothesisSet(tuple(table_function(points, r) for r in rows))
+        cert = worst_correlation_distribution(Explicit(points, labels), hset,
+                                              points)
+        corr = rows * labels
+        ones = np.ones((64, 1))
+        highs = linprog(np.r_[np.zeros(64), 1.0],
+                        A_ub=np.vstack([np.hstack([corr, -ones]),
+                                        np.hstack([-corr, -ones])]),
+                        b_ub=np.zeros(128), A_eq=np.r_[np.ones(64), 0.0][None],
+                        b_eq=[1.0], method="highs")
+        assert highs.status == 0
+        assert abs(cert.value - highs.fun) <= 1e-9
 
 
 def all_two_bit_decision_lists():
