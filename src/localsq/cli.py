@@ -408,7 +408,9 @@ def _separable_patterns(matrix) -> list:
         a_ub = np.hstack([-signed, signed])
         try:
             solve_lp(c=np.zeros(2 * d), a_ub=a_ub, b_ub=-np.ones(n))
-        except SolverError:
+        except SolverError as e:
+            if "infeasibility" not in e.dump:  # a failure, not a verdict
+                raise
             continue
         out.append(Explicit(matrix, pattern))
     return out

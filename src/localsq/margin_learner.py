@@ -38,6 +38,7 @@ from .sq import (
 )
 
 JL_CONSTANT = 32.0
+JL_MAX_ENTRIES = 10**8  # 800 MB of float64; the defaults ask for 106,600
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,10 @@ def jl_map(source_dim: int, gamma: float, delta: float,
     Entries are i.i.d. Gaussians scaled by 1/sqrt(d').
     """
     d_prime = jl_dim(gamma, delta)
+    if d_prime * source_dim > JL_MAX_ENTRIES:
+        raise PreconditionError(
+            f"gamma = {gamma!r} and delta = {delta!r} ask for a {d_prime:,} x "
+            f"{source_dim:,} JL map, above {JL_MAX_ENTRIES:,} entries")
     rng = generator(derive_seed(seed, "jl-map"))
     matrix = rng.standard_normal((d_prime, source_dim)) / math.sqrt(d_prime)
     return ProjectionMap(matrix=matrix, source_dim=source_dim,

@@ -16,11 +16,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from localsq import schemas
+from localsq import cli, margin_learner, schemas
 from localsq.cli import COMMANDS, ExperimentConfig, _build_config, \
     _build_parser, _emit_transcript, main, separation_experiment
 from localsq.core import make_margin_source
-from localsq.errors import ContractViolation, PreconditionError
+from localsq.errors import ContractViolation, PreconditionError, SolverError
 from localsq.schemas import SCHEMAS, validate_artifact, validate_config
 from localsq.sq import ExactOracle, StatQuery
 
@@ -162,12 +162,19 @@ class TestConfig:
         ["learn-halfspace", "--delta", "1e-320"],
         ["jl-check", "--delta", "1e-320"],
         ["learn-halfspace", "--alpha", "1e-300"],
+        pytest.param(["jl-check", "--gamma", "1e-3"],
+                     id="jl-check--gamma-map-too-large"),
     ], ids=lambda a: f"{a[0]}{a[1]}")
-    def test_size_formula_without_a_finite_value_refused(self, tmp_path,
-                                                         capsys, argv):
+    def test_size_formula_without_a_finite_value_refused(
+            self, tmp_path, capsys, monkeypatch, argv):
         # gamma^2 underflows to 0 in the JL dimension, 1/delta overflows,
-        # or the descent horizon's square overflows: refused naming the
-        # value, with no traceback.
+        # the descent horizon's square overflows, or the JL map would take
+        # 77 GB: refused naming the value, with no traceback, before a
+        # single Gaussian of the map is drawn.
+        def no_draws(seed):
+            raise AssertionError("the JL map was about to be drawn")
+
+        monkeypatch.setattr(margin_learner, "generator", no_draws)
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
@@ -453,6 +460,23 @@ class TestAdversary:
         # Homogeneous halfspaces label antipodal corners oppositely, so
         # the two-variable domain carries exactly four patterns.
         assert read_json(out, "adversary_report.json")["n_targets"] == 4
+
+    def test_halfspace_class_solver_failure_is_not_inseparable(
+            self, tmp_path, monkeypatch, capsys):
+        # Only the infeasibility refusal means "not separable"; an
+        # iteration cap must stop the command, not drop the pattern.
+        def capped(*args, **kwargs):
+            raise SolverError("phase 1: iteration cap 20000 exceeded",
+                              dump={"iterations": 20001, "basis": [0],
+                                    "objective": 1.0})
+
+        monkeypatch.setattr(cli, "solve_lp", capped)
+        out = tmp_path / "adv"
+        code = main(["adversary-demo", "--class", "hs", "--d", "2",
+                     "--m", "1", "--seed", "3", "--out", str(out)])
+        assert code == 2
+        assert "iteration cap" in capsys.readouterr().err
+        assert not (out / "adversary_report.json").exists()
 
     def test_explicit_class_file(self, tmp_path):
         spec = tmp_path / "class.json"

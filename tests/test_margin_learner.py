@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localsq import margin_learner
 from localsq.core import (
     Explicit,
     FiniteDistribution,
@@ -34,6 +35,7 @@ from localsq.margin_learner import (
     grad_f2_query,
     identity_projection,
     jl_dim,
+    jl_map,
     jl_project,
     learn_halfspace,
     sign_weight,
@@ -282,6 +284,16 @@ class TestJlProjection:
     def test_dim_formula(self):
         # ceil(32 ln(20) / 0.09) = 1066.
         assert jl_dim(0.3, 0.05) == 1066
+
+    def test_oversized_map_refused_before_drawing(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("the map was about to be drawn")
+
+        monkeypatch.setattr(margin_learner, "generator", no_draws)
+        with pytest.raises(PreconditionError, match=(
+                r"^gamma = 0\.001 and delta = 0\.05 ask for a 95,863,433 x "
+                r"100 JL map, above 100,000,000 entries$")):
+            jl_map(100, 1e-3, 0.05, seed=0)
 
     def test_deterministic(self):
         src = make_margin_source(10, 0.3, 15, seed=4)
