@@ -384,8 +384,8 @@ class TestWorstCorrelationDistribution:
     ], ids=["constant+1", "constant-1", "random0", "random1", "random2"])
     def test_degenerate_cube_programs_match_highs(self, labels):
         # The 6-bit cube with 64 random +-1 hypotheses: all 128 inequality
-        # rows have b = 0, so every pivot from the slack basis is
-        # degenerate. The constant -1 target once ended in a duality gap.
+        # rows have b = 0, so the program is highly degenerate. The
+        # constant -1 target once ended in a duality gap.
         linprog = pytest.importorskip("scipy.optimize").linprog
         points = hypercube_rows(6)
         rows = generator(0).choice([-1.0, 1.0], (64, 64))
