@@ -94,8 +94,8 @@ class SurrogateParams:
 
 def _margin_terms(w: np.ndarray, X: np.ndarray, gamma: float):
     """Per-example matrices u + gamma*x_i and u - gamma*x_i over coordinates."""
-    u = X @ w
-    return u, u[:, None] + gamma * X, u[:, None] - gamma * X
+    u, gx = X @ w, gamma * X
+    return u, u[:, None] + gx, u[:, None] - gx
 
 
 def surrogate_value(w: np.ndarray, src: LabeledSource,
@@ -116,9 +116,10 @@ def surrogate_value(w: np.ndarray, src: LabeledSource,
 
 
 def sign_weight(w: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
-    """k(x) = sum_i sign(u + gamma x_i) + sign(u - gamma x_i), sign(0) = +1."""
+    """k(x) = sum_i sign(u +- gamma x_i), sign(0) = +1: 2 * #{terms >= 0} - 2d."""
     _, plus, minus = _margin_terms(w, X, gamma)
-    return signp(plus).sum(axis=1) + signp(minus).sum(axis=1)
+    nonneg = (plus >= 0.0).sum(axis=1) + (minus >= 0.0).sum(axis=1)
+    return 2.0 * nonneg - 2.0 * X.shape[1]
 
 
 def grad_f1_query(w: np.ndarray, params: SurrogateParams,

@@ -673,14 +673,19 @@ class TestDeterminism:
 # two dl_report.json digests were re-recorded when the learner reports
 # dropped their "protocol" key (a second copy of transcript.jsonl, or
 # null for exact runs): every other file kept its bytes, and deleting
-# "protocol" from the earlier parsed report gives the new one. The figures
-# hold for IEEE doubles and the numpy/BLAS builds this was recorded with.
+# "protocol" from the earlier parsed report gives the new one. The
+# estimate-mean, learn-halfspace-exact and learn-halfspace-known digests were
+# re-recorded when an exact block's means became one probs @ values product
+# instead of one product per column: the reports and results.csv kept their
+# bytes; transcript answers, hypothesis weights and estimate-mean's
+# max_abs_deviation moved by at most 1.7e-16. The figures hold for IEEE
+# doubles and the numpy/BLAS builds this was recorded with.
 GOLDEN_DIGESTS = {
     "learn-halfspace-exact": (["learn-halfspace", "--seed", "0"], {
         "halfspace_report.json": "1726655f1e2426a1d6c23be413dae87352ac72fe5973279e6434b55a449c173c",
-        "hypothesis.json": "2138338bca12ed6d9abb28941befba3bb3bc1f4dd8dea9aa0f4241ad96b77392",
+        "hypothesis.json": "04efca718dcb7449f57efae12eda403731bad766e97a5d23fdaf1fef86766519",
         "results.csv": "8b17b11355f7f76e62399da8b0927f5bbec817a013280b0e2d25721348005a39",
-        "transcript.jsonl": "dfda0674250a11eab3874bf804063fe9eb8ac03d83f9f05bb8b0447c18997def",
+        "transcript.jsonl": "682618b6a8af524f97d35fdf883eff8510ef74085fe0ea7fdab695c05288c4e9",
     }),
     "learn-halfspace-ldp": (["learn-halfspace", "--oracle", "ldp", "--d",
                              "10", "--seed", "0"], {
@@ -699,9 +704,9 @@ GOLDEN_DIGESTS = {
     "learn-halfspace-known": (["learn-halfspace", "--mode",
                                "known_distribution", "--seed", "0"], {
         "halfspace_report.json": "5acb7205ea91519647219a8c4ed2cb9d52a15dc314297b17c61fd05717df9f8d",
-        "hypothesis.json": "1d721bf7f7cf57e3b7ed9828db97354b71f29e5fc244e68ae6100e23085293ea",
+        "hypothesis.json": "87c38edf354588928133a122aab64ff48b9d222b043245e66cc48ccd948b8b00",
         "results.csv": "4457918432d8372f14ec9708c3314eb01582273156c490b6e167f41cb4c352df",
-        "transcript.jsonl": "32284bf45699a964157dfcdee2b940b9fa641cfc28458598de423f7ec3ea85ea",
+        "transcript.jsonl": "dcb393aeb0551f04796d41d57631a8e732dd1045acf6420dbf902894d13ff56d",
     }),
     "learn-halfspace-known-ldp": (["learn-halfspace", "--mode",
                                    "known_distribution", "--oracle", "ldp",
@@ -721,7 +726,7 @@ GOLDEN_DIGESTS = {
     }),
     "estimate-mean": (["estimate-mean", "--seed", "0"], {
         "estimate_report.json": "8a9ef411eb3c8ba5d196a88905487f2e50394e5cca8f9a159852e5aa939548e2",
-        "estimate_trials.csv": "e9aa7429251e7937b17a1cf5014d67c7222bc5658de8d43b4101efa06e9dbd18",
+        "estimate_trials.csv": "cdd3c8b45a5bbbd0d2d7b3812363f7a795053528ba5858e8958735c0b9e3a903",
     }),
     "learn-dl": (["learn-dl", "--seed", "1"], {
         "dl_hypothesis.json": "8c581c5dbdcbcff5de5a9c538ba4cc27e1680c0de872cbf64a71699bede95171",

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localsq import margin_learner
@@ -21,6 +21,7 @@ from localsq.core import (
     Point,
     classification_error,
     make_margin_source,
+    signp,
 )
 from localsq.comm import ONE_BIT
 from localsq.errors import PreconditionError, ProtocolError
@@ -181,6 +182,48 @@ class TestGradF2:
         assert all(e.label_dependent for e in oracle.transcript.entries)
         assert all(e.round == 0 for e in oracle.transcript.entries)
         assert all(e.scale == -6.0 for e in oracle.transcript.entries)
+
+
+# Coordinates and weights: a dyadic grid, on which u = <w, x> and gamma x_i
+# are exact, so that u = +-gamma x_i can hold exactly; or any float.
+SIGN_VALUES = st.sampled_from([-1.0, -0.5, -0.125, 0.0, 0.125, 0.5, 1.0]) | (
+    st.floats(-1.0, 1.0))
+
+
+@st.composite
+def sign_weight_cases(draw):
+    """(w, X, gamma), with w = 0, a free w, or a row forced onto a tie."""
+    n, d = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    gamma = draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+    X = np.array(draw(st.lists(SIGN_VALUES, min_size=n * d,
+                               max_size=n * d))).reshape(n, d)
+    w = np.array(draw(st.lists(SIGN_VALUES, min_size=d, max_size=d)))
+    kind = draw(st.sampled_from(["free", "zero", "tie"]))
+    if kind == "zero":
+        w = np.zeros(d)
+    elif kind == "tie" and n and d > 1:
+        # w = e_j makes u = X[r, j] exactly; setting X[r, j] = +-gamma X[r, i]
+        # puts u - gamma x_i (or u + gamma x_i) at exactly 0.
+        r = draw(st.integers(0, n - 1))
+        i, j = draw(st.permutations(range(d)))[:2]
+        X[r, j] = draw(st.sampled_from([1.0, -1.0])) * (gamma * X[r, i])
+        w = np.zeros(d)
+        w[j] = 1.0
+    return w, X, gamma
+
+
+class TestSignWeight:
+    @given(sign_weight_cases())
+    @example((np.array([1.0, 0.0]), np.array([[0.5, 0.5]]), 1.0))  # a tie
+    @settings(max_examples=300, deadline=None)
+    def test_count_equals_sum_of_signs(self, case):
+        w, X, gamma = case
+        u = X @ w
+        signs = (signp(u[:, None] + gamma * X).sum(axis=1)
+                 + signp(u[:, None] - gamma * X).sum(axis=1))
+        k = sign_weight(w, X, gamma)
+        assert k.dtype == signs.dtype and k.shape == signs.shape
+        assert np.array_equal(k, signs)
 
 
 class TestGradF1:

@@ -5,6 +5,7 @@ frozen as literals; invariants run as hypothesis property tests.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from localsq.sq import (
     PerturbingOracle,
     StatQuery,
     TranscriptEntry,
+    _column_means,
     assert_label_non_adaptive,
     decompose,
     run_driver,
@@ -520,20 +522,40 @@ def label_scalars(d, tau=0.1):
                       label_dependent=True) for j in range(d)]
 
 
+def assert_within_ulps(block, scalar, src, ulps=4):
+    """A block's answers against its scalar queries' answers, one at a time.
+
+    A block's means are one product over all columns and a scalar query's
+    one product over its column, so the two may sum in different orders.
+    They must agree to within `ulps` units in the last place of the larger
+    of the answer and E|y x_j|, the size of the terms being summed.
+    """
+    X, probs, labels = src.dist.matrix, src.dist.probs, src.labels
+    size = np.maximum(np.abs(scalar), probs @ np.abs(labels[:, None] * X))
+    assert np.all(np.abs(block - scalar) <= ulps * np.spacing(size))
+
+
+def shared_fields(t):
+    return [{k: v for k, v in r.items() if k != "answer"} for r in t.records()]
+
+
 class TestBlockQueries:
     def test_exact_block_equals_its_scalar_queries(self):
         src = make_margin_source(4, 0.3, 12, seed=3)
         block, scalar = ExactOracle(src), ExactOracle(src)
         answers = block.ask(label_block(4), 2)
-        assert list(answers) == [scalar.ask(q, 2) for q in label_scalars(4)]
-        assert block.transcript.entries == scalar.transcript.entries
+        assert_within_ulps(answers, np.array([scalar.ask(q, 2)
+                                              for q in label_scalars(4)]), src)
+        assert shared_fields(block.transcript) == shared_fields(
+            scalar.transcript)
 
     def test_perturbing_block_draws_per_coordinate(self):
         src = make_margin_source(4, 0.3, 12, seed=4)
         block = PerturbingOracle(src, "uniform", seed=5)
         scalar = PerturbingOracle(src, "uniform", seed=5)
         answers = block.ask(label_block(4), 0)
-        assert list(answers) == [scalar.ask(q, 0) for q in label_scalars(4)]
+        assert_within_ulps(answers, np.array([scalar.ask(q, 0)
+                                              for q in label_scalars(4)]), src)
 
     def test_adversarial_budget_counts_coordinates(self):
         src = make_margin_source(3, 0.3, 10, seed=6)
@@ -587,6 +609,28 @@ LYING_LABEL_FREE = [
 ]
 
 
+class TestColumnMeans:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_one_product_is_within_rounding_of_each_mean(self, seed, n, width):
+        # All exact answers are one probs @ values product over a block. Each
+        # column's mean must lie within n * 2^-52 * sum_i |p_i v_i| of its
+        # math.fsum mean, the bound for summing n products in any order.
+        rng = np.random.default_rng(seed)
+        raw = rng.exponential(size=n) * (rng.random(n) < 0.8)
+        raw[rng.integers(n)] += 1.0  # at least one point with mass
+        X = rng.uniform(-0.5, 0.5, size=(n, 2))
+        src = LabeledSource(FiniteDistribution(X, raw / raw.sum()),
+                            Explicit(X, rng.choice([-1, 1], size=n)))
+        values = rng.uniform(-1.0, 1.0, size=(n, width))
+        means = _column_means(src, values)
+        assert means.shape == (width,)
+        for j in range(width):
+            terms = src.dist.probs * values[:, j]
+            bound = n * 2.0**-52 * math.fsum(np.abs(terms))
+            assert abs(means[j] - math.fsum(terms)) <= bound
+
+
 def stacked_reference(q, src, seed, m):
     """Exact, perturbing ("uniform") and adversarial answers and branches,
     computed as before label-free blocks were evaluated on the points alone:
@@ -600,7 +644,7 @@ def stacked_reference(q, src, seed, m):
     realized = np.where(labels[:, None] > 0, plus, minus)
 
     def means(values):
-        return np.array([probs @ c for c in np.ascontiguousarray(values.T)])
+        return probs @ values
 
     exact = means(realized)
     rng = generator(derive_seed(seed, "perturbing-oracle"))
