@@ -17,30 +17,25 @@ import numpy as np
 
 from .core import DecisionList
 from .errors import LearningFailure, PreconditionError, ProtocolError
-from .sq import InteractivityTranscript, StatQuery, run_driver
+from .sq import StatQuery, run_driver
 
-__all__ = [
-    "DlLearnerConfig",
-    "DlDriver",
-    "learn_decision_list_sq",
-    "adaptivity_profile",
-]
+__all__ = ["DlLearnerConfig", "DlDriver", "learn_decision_list_sq"]
 
 
 @dataclass(frozen=True)
 class DlLearnerConfig:
-    """Dimension, error target, per-query tolerance, and length cap.
+    """Dimension, error target, and per-query tolerance.
 
-    tau defaults to alpha/(8*dim); max_len to 2*dim+1 (all single-variable
-    rules plus the default). Compiled runs may pass a coarser tau so the
-    simulation batch sizes stay affordable; the admissibility thresholds
-    scale with it either way.
+    tau defaults to alpha/(8*dim). Compiled runs may pass a coarser tau so
+    the simulation batch sizes stay affordable; the admissibility
+    thresholds scale with it either way. A list never needs a length cap:
+    it holds at most one rule per (variable, polarity) pair, and the search
+    refuses once no admissible pair is left.
     """
 
     dim: int
     alpha: float
     tau: float | None = None
-    max_len: int | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -51,10 +46,6 @@ class DlLearnerConfig:
             object.__setattr__(self, "tau", self.alpha / (8.0 * self.dim))
         if self.tau <= 0.0:
             raise PreconditionError("tau must be positive")
-        if self.max_len is None:
-            object.__setattr__(self, "max_len", 2 * self.dim + 1)
-        if self.max_len < 1:
-            raise PreconditionError("max_len must be at least 1")
 
 
 def _survival(chosen):
@@ -161,10 +152,6 @@ class DlDriver:
             raise LearningFailure(
                 "no admissible rule while the residual is unexplained"
             )
-        if len(self.chosen) >= self.cfg.max_len - 1:
-            raise LearningFailure(
-                "rule budget exhausted before the residual shrank"
-            )
         _, v, p, output = best
         self.chosen.append((v, p, output))
         self._available.discard((v, p))
@@ -182,12 +169,3 @@ def learn_decision_list_sq(oracle, cfg: DlLearnerConfig) -> DecisionList:
     run_driver(driver, oracle.ask)
     return driver.result()
 
-
-def adaptivity_profile(t: InteractivityTranscript) -> dict:
-    """Round count plus the sorted rounds containing label-dependent queries."""
-    return {
-        "rounds": t.rounds_used(),
-        "label_dependent_rounds": sorted(
-            {b.round for b in t.blocks if b.label_dependent}
-        ),
-    }

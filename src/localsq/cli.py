@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import derive_seed, generator
-from .baselines import DlDriver, DlLearnerConfig, adaptivity_profile, \
-    learn_decision_list_sq
+from .baselines import DlDriver, DlLearnerConfig, learn_decision_list_sq
 from .comm import ONE_BIT
 from .core import DecisionList, Explicit, classification_error, \
     hypercube_rows, make_margin_source, point_rows, random_decision_list, \
@@ -297,9 +296,8 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
             DlDriver(learner_cfg), src, cfg.epsilon, learner_cfg.tau,
             cfg.delta, seed=derive_seed(cfg.seed, "dl-ldp"))
         transcript = proto.transcript
-    profile = adaptivity_profile(transcript)
-    rounds = profile["rounds"]
-    dep_rounds = profile["label_dependent_rounds"]
+    rounds = transcript.rounds_used()
+    dep_rounds = transcript.label_dependent_rounds()
     queries = len(transcript)
     samples = proto.samples_used if proto else 0
     error = classification_error(learned, src)
@@ -574,9 +572,8 @@ def separation_experiment(seed: int):
     rows.append({
         "algorithm": "decision-list-sq",
         "class": "decision lists (d=6)",
-        "rounds": proto.rounds,
-        "label_dependent_rounds": adaptivity_profile(
-            proto.transcript)["label_dependent_rounds"],
+        "rounds": proto.transcript.rounds_used(),
+        "label_dependent_rounds": proto.transcript.label_dependent_rounds(),
         "samples": proto.samples_used,
         "final_error": classification_error(learned, src),
     })
@@ -603,8 +600,7 @@ def separation_experiment(seed: int):
         "algorithm": "halfspace-psgd",
         "class": "margin halfspaces (d=20)",
         "rounds": info.rounds,
-        "label_dependent_rounds": adaptivity_profile(
-            info.transcript)["label_dependent_rounds"],
+        "label_dependent_rounds": info.transcript.label_dependent_rounds(),
         "samples": info.samples_used,
         "final_error": classification_error(hyp, hs_src),
     })

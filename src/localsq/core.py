@@ -170,9 +170,6 @@ class TargetFunction:
     def negate(self) -> "TargetFunction":
         raise NotImplementedError
 
-    def __call__(self, point: Point) -> int:
-        return int(self.labels_for(point.coords[None, :])[0])
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -297,11 +294,6 @@ class Explicit(TargetFunction):
             "serialize its labels in support order")
 
 
-def negate(f: TargetFunction) -> TargetFunction:
-    """The pointwise negation of a target function (stays in its class)."""
-    return f.negate()
-
-
 class LabeledSource:
     """A finite distribution paired with a target labeling every support point."""
 
@@ -369,17 +361,11 @@ class SampleStream:
 
 
 def classification_error(h, src: LabeledSource) -> float:
-    """Exact disagreement mass between hypothesis h and the source target.
-
-    h may be a TargetFunction or any callable taking a Point to a label,
-    which is called on each support row.
-    """
-    if hasattr(h, "labels_for"):
-        predicted = np.asarray(h.labels_for(src.dist.matrix), dtype=float)
-    elif callable(h):
-        predicted = np.array([float(h(Point(x))) for x in src.dist.matrix])
-    else:
-        raise EvaluationError("hypothesis is neither a target function nor callable")
+    """Exact disagreement mass between hypothesis h, anything with
+    labels_for(X), and the source target."""
+    if not hasattr(h, "labels_for"):
+        raise EvaluationError("hypothesis has no labels_for")
+    predicted = np.asarray(h.labels_for(src.dist.matrix), dtype=float)
     return float(np.sum(src.dist.probs * (predicted != src.labels)))
 
 

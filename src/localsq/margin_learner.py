@@ -28,14 +28,8 @@ from .core import (
     signp,
 )
 from .errors import PreconditionError, ProtocolError
-from .ldp import ChannelOracle, compile_sq_to_ldp
-from .sq import (
-    ExactOracle,
-    InteractivityTranscript,
-    StatQuery,
-    assert_label_non_adaptive,
-    run_driver,
-)
+from .ldp import compile_sq_to_ldp
+from .sq import ExactOracle, InteractivityTranscript, StatQuery, run_driver
 
 JL_CONSTANT = 32.0
 JL_MAX_ENTRIES = 10**8  # 800 MB of float64; the defaults ask for 106,600
@@ -43,17 +37,12 @@ JL_MAX_ENTRIES = 10**8  # 800 MB of float64; the defaults ask for 106,600
 
 @dataclass(frozen=True)
 class SurrogateParams:
-    """Margin, target error, and surrogate slack for a working dimension.
-
-    beta defaults to gamma^2 / sqrt(dim), half the largest value for which
-    driving the surrogate below alpha*beta forces classification error
-    below alpha; the headroom absorbs oracle noise.
-    """
+    """Margin, target error and working dimension; the surrogate slack
+    beta and the Lipschitz constant follow from them."""
 
     gamma: float
     alpha: float
     dim: int
-    beta: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -62,14 +51,13 @@ class SurrogateParams:
             raise PreconditionError("alpha must lie in (0, 1)")
         if self.dim < 1:
             raise PreconditionError("dim must be >= 1")
-        if self.beta is None:
-            object.__setattr__(
-                self, "beta", self.gamma**2 / math.sqrt(self.dim)
-            )
-        if not 0.0 < self.beta < 2.0 * self.gamma**2 / math.sqrt(self.dim):
-            raise PreconditionError(
-                "beta must lie in (0, 2 gamma^2 / sqrt(dim))"
-            )
+
+    @property
+    def beta(self) -> float:
+        """gamma^2 / sqrt(dim), half the largest value for which driving the
+        surrogate below alpha*beta forces classification error below alpha;
+        the headroom absorbs oracle noise."""
+        return self.gamma**2 / math.sqrt(self.dim)
 
     @property
     def lipschitz(self) -> float:
@@ -92,12 +80,6 @@ class SurrogateParams:
         )
 
 
-def _margin_terms(w: np.ndarray, X: np.ndarray, gamma: float):
-    """Per-example matrices u + gamma*x_i and u - gamma*x_i over coordinates."""
-    u, gx = X @ w, gamma * X
-    return u, u[:, None] + gx, u[:, None] - gx
-
-
 def surrogate_value(w: np.ndarray, src: LabeledSource,
                     params: SurrogateParams) -> float:
     """Exact surrogate value over the finite source; nonnegative everywhere."""
@@ -106,19 +88,25 @@ def surrogate_value(w: np.ndarray, src: LabeledSource,
     if w.shape[0] != X.shape[1]:
         raise PreconditionError("dimension mismatch between w and source")
     d = X.shape[1]
-    u, plus, minus = _margin_terms(w, X, params.gamma)
+    u, gx = X @ w, params.gamma * X
     per_example = (
-        np.abs(plus).sum(axis=1)
-        + np.abs(minus).sum(axis=1)
+        np.abs(u[:, None] + gx).sum(axis=1)
+        + np.abs(u[:, None] - gx).sum(axis=1)
         - 2.0 * d * src.labels * u
     )
     return float(src.dist.probs @ per_example)
 
 
 def sign_weight(w: np.ndarray, X: np.ndarray, gamma: float) -> np.ndarray:
-    """k(x) = sum_i sign(u +- gamma x_i), sign(0) = +1: 2 * #{terms >= 0} - 2d."""
-    _, plus, minus = _margin_terms(w, X, gamma)
-    nonneg = (plus >= 0.0).sum(axis=1) + (minus >= 0.0).sum(axis=1)
+    """k(x) = sum_i sign(u +- gamma x_i), sign(0) = +1, with u = <w, x>:
+    2 * #{terms >= 0} - 2d.
+
+    u + gamma x_i >= 0 is counted as gamma x_i >= -u, and u - gamma x_i >= 0
+    as gamma x_i <= u: a rounded sum has the sign of the exact one and is 0
+    only when it is, so the counts are those of the rounded terms.
+    """
+    u, gx = X @ w, gamma * X
+    nonneg = (gx >= -u[:, None]).sum(axis=1) + (gx <= u[:, None]).sum(axis=1)
     return 2.0 * nonneg - 2.0 * X.shape[1]
 
 
@@ -156,9 +144,7 @@ class ProjectionMap:
     """Seeded Gaussian projection onto a lower-dimensional ball."""
 
     matrix: np.ndarray
-    source_dim: int
     target_dim: int
-    seed: int
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Project rows and radially rescale any image outside the unit ball."""
@@ -185,24 +171,23 @@ def jl_dim(gamma: float, delta: float) -> int:
 
 
 def identity_projection(d: int) -> ProjectionMap:
-    return ProjectionMap(matrix=np.eye(d), source_dim=d, target_dim=d, seed=0)
+    return ProjectionMap(matrix=np.eye(d), target_dim=d)
 
 
-def jl_map(source_dim: int, gamma: float, delta: float,
+def jl_map(dim: int, gamma: float, delta: float,
            seed: int) -> ProjectionMap:
     """The seeded Gaussian map into dimension jl_dim(gamma, delta).
 
     Entries are i.i.d. Gaussians scaled by 1/sqrt(d').
     """
     d_prime = jl_dim(gamma, delta)
-    if d_prime * source_dim > JL_MAX_ENTRIES:
+    if d_prime * dim > JL_MAX_ENTRIES:
         raise PreconditionError(
             f"gamma = {gamma!r} and delta = {delta!r} ask for a {d_prime:,} x "
-            f"{source_dim:,} JL map, above {JL_MAX_ENTRIES:,} entries")
+            f"{dim:,} JL map, above {JL_MAX_ENTRIES:,} entries")
     rng = generator(derive_seed(seed, "jl-map"))
-    matrix = rng.standard_normal((d_prime, source_dim)) / math.sqrt(d_prime)
-    return ProjectionMap(matrix=matrix, source_dim=source_dim,
-                         target_dim=d_prime, seed=seed)
+    matrix = rng.standard_normal((d_prime, dim)) / math.sqrt(d_prime)
+    return ProjectionMap(matrix=matrix, target_dim=d_prime)
 
 
 def jl_project(src: LabeledSource, gamma: float, delta: float,
@@ -368,9 +353,6 @@ class HalfspaceHypothesis:
         mapped = np.asarray(X, dtype=float) @ self.proj.matrix.T
         return signp(mapped @ self.w)
 
-    def __call__(self, point) -> int:
-        return int(self.labels_for(point.coords[None, :])[0])
-
     def to_json(self) -> dict:
         return {
             "proj": [[float(v) for v in row] for row in self.proj.matrix],
@@ -380,25 +362,20 @@ class HalfspaceHypothesis:
 
 @dataclass
 class HalfspaceRunInfo:
-    """Projection, learner and protocol reports plus the run's transcript."""
+    """Projection and learner reports, the run's transcript, and the
+    samples a simulated channel drew (0 for the exact oracle)."""
 
-    mode: str
-    oracle: str
     ambient_dim: int
     working_dim: int
     gamma_effective: float
     projected: bool
     learner: LearnerReport
     transcript: InteractivityTranscript
-    protocol_report: ChannelOracle | None = None
+    samples_used: int = 0
 
     @property
     def rounds(self) -> int:
         return self.transcript.rounds_used()
-
-    @property
-    def samples_used(self) -> int:
-        return self.protocol_report.samples_used if self.protocol_report else 0
 
 
 def learn_halfspace(
@@ -414,10 +391,10 @@ def learn_halfspace(
 ) -> tuple[HalfspaceHypothesis, HalfspaceRunInfo]:
     """Project, then learn a margin-gamma halfspace with the chosen oracle.
 
-    The projection is skipped (identity) when the formula dimension does
-    not improve on the ambient one; otherwise the working margin drops to
-    gamma/2 and delta is split evenly between projection failure and
-    oracle-simulation failure. In known_distribution mode the protocol is
+    The projection is skipped (identity) when the map's dimension,
+    jl_dim(gamma, delta/2), does not improve on the ambient one; otherwise
+    the working margin drops to gamma/2 and delta is split evenly between
+    projection failure and oracle-simulation failure. In known_distribution mode the protocol is
     one round regardless of oracle choice.
     """
     if mode not in ("distribution_free", "known_distribution"):
@@ -425,8 +402,9 @@ def learn_halfspace(
     if oracle not in ("exact", "ldp", "comm"):
         raise PreconditionError(f"unknown oracle {oracle!r}")
     d = src.dim
-    d_formula = jl_dim(gamma, delta)
-    if d_formula < d:
+    # The map is built at delta/2, so its dimension decides; the first call
+    # refuses a size with no finite value naming the delta given here.
+    if jl_dim(gamma, delta) < d and jl_dim(gamma, delta / 2.0) < d:
         proj, working = jl_project(src, gamma, delta / 2.0, seed)
         gamma_eff = gamma / 2.0
         sim_delta = delta / 2.0
@@ -458,7 +436,7 @@ def learn_halfspace(
     if oracle == "exact":
         ex = ExactOracle(working)
         run_driver(driver, ex.ask)
-        w_bar, transcript, protocol = driver.result(), ex.transcript, None
+        w_bar, transcript, samples = driver.result(), ex.transcript, 0
     else:
         if oracle == "ldp":
             w_bar, protocol = compile_sq_to_ldp(
@@ -468,7 +446,7 @@ def learn_halfspace(
             w_bar, protocol = compile_sq_to_comm(
                 driver, working, driver.tau, sim_delta,
                 seed=derive_seed(seed, "halfspace-comm"))
-        transcript = protocol.transcript
+        transcript, samples = protocol.transcript, protocol.samples_used
     learner = LearnerReport(
         dim=params.dim,
         iterations_executed=driver.iterations,
@@ -479,18 +457,16 @@ def learn_halfspace(
         queries_label_dependent=sum(
             len(b.answers) for b in transcript.blocks if b.label_dependent),
         rounds=transcript.rounds_used(),
-        label_non_adaptive=assert_label_non_adaptive(transcript),
+        label_non_adaptive=set(transcript.label_dependent_rounds()) <= {0},
     )
     info = HalfspaceRunInfo(
-        mode=mode,
-        oracle=oracle,
         ambient_dim=d,
         working_dim=proj.target_dim,
         gamma_effective=gamma_eff,
         projected=projected,
         learner=learner,
         transcript=transcript,
-        protocol_report=protocol,
+        samples_used=samples,
     )
     return HalfspaceHypothesis(proj=proj, w=np.asarray(w_bar)), info
 

@@ -16,8 +16,9 @@ the labels of weakly-correlated queries, and the compiled channel,
 `localsq.ldp.ChannelOracle`. All four answer from `evaluate_on_support`,
 fn(X, f(X)) on the support, the values the channel randomizes; `decompose`
 splits a query as g(x) + y h(x). A transcript records each answer with its
-interaction round so that label-non-adaptivity is a checkable property of
-a run, not a promise.
+interaction round, and `label_dependent_rounds` reads back the rounds that
+touched labels, so label-non-adaptivity is a checkable property of a run,
+not a promise.
 """
 
 from __future__ import annotations
@@ -196,6 +197,11 @@ class InteractivityTranscript:
     def rounds_used(self) -> int:
         return 0 if not self.blocks else self.blocks[-1].round + 1
 
+    def label_dependent_rounds(self) -> list[int]:
+        """The sorted rounds that hold a label-dependent block; a run is
+        label-non-adaptive iff this is [] or [0]."""
+        return sorted({b.round for b in self.blocks if b.label_dependent})
+
     def records(self) -> list[dict]:
         return [{"answer": a, **b.shared()} for b in self.blocks
                 for a in b.answers]
@@ -209,11 +215,6 @@ class InteractivityTranscript:
             lines.extend('{"answer": ' + json.dumps(a) + tail
                          for a in b.answers)
         return "".join(lines)
-
-
-def assert_label_non_adaptive(t: InteractivityTranscript) -> bool:
-    """True iff every label-dependent block was issued in round 0."""
-    return all(b.round == 0 for b in t.blocks if b.label_dependent)
 
 
 def _column_means(src: LabeledSource, values: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from localsq._rng import derive_seed
 from localsq.baselines import (
     DlDriver,
     DlLearnerConfig,
-    adaptivity_profile,
     learn_decision_list_sq,
 )
 from localsq.cli import main as cli_main
@@ -53,11 +52,7 @@ from localsq.margin_learner import (
     learn_halfspace,
     surrogate_value,
 )
-from localsq.sq import (
-    ExactOracle,
-    StatQuery,
-    assert_label_non_adaptive,
-)
+from localsq.sq import ExactOracle, StatQuery
 
 
 def criterion(index, name, budget_s):
@@ -296,7 +291,7 @@ def test_criterion_06_halfspace():
                 oracle=oracle, epsilon=1.0,
                 seed=derive_seed(0, f"acc6-{oracle}-run", i))
             transcript = info.transcript
-            assert assert_label_non_adaptive(transcript), (oracle, i)
+            assert transcript.label_dependent_rounds() == [0], (oracle, i)
             dep = sum(len(b.answers) for b in transcript.blocks
                       if b.label_dependent)
             assert dep == info.working_dim == d, (oracle, i, dep)
@@ -407,7 +402,7 @@ def test_criterion_10_decision_list():
                     cfg = DlLearnerConfig(dim=d, alpha=alpha)
                     oracle = ExactOracle(src)
                     hyp = learn_decision_list_sq(oracle, cfg)
-                    profile = adaptivity_profile(oracle.transcript)
+                    transcript = oracle.transcript
                 else:
                     cfg = DlLearnerConfig(dim=d, alpha=alpha, tau=0.005)
                     driver = DlDriver(cfg)
@@ -418,12 +413,12 @@ def test_criterion_10_decision_list():
                     hyp, protocol = compile_sq_to_ldp(
                         driver, S, epsilon=1.0, tau=cfg.tau, delta=0.05,
                         seed=derive_seed(0, "acc10-chan", i))
-                    profile = adaptivity_profile(protocol.transcript)
+                    transcript = protocol.transcript
             except LearningFailure:
                 continue
-            if profile["rounds"] > 1:
+            if transcript.rounds_used() > 1:
                 # The greedy search re-asks label statistics every round.
-                assert max(profile["label_dependent_rounds"]) > 0, (mode, i)
+                assert max(transcript.label_dependent_rounds()) > 0, (mode, i)
                 late += 1
             if classification_error(hyp, src) <= alpha:
                 good += 1

@@ -7,7 +7,6 @@ from localsq._rng import derive_seed
 from localsq.baselines import (
     DlDriver,
     DlLearnerConfig,
-    adaptivity_profile,
     learn_decision_list_sq,
 )
 from localsq.core import (
@@ -36,12 +35,8 @@ class TestConfig:
         cfg = DlLearnerConfig(dim=8, alpha=0.1)
         assert cfg.tau == pytest.approx(0.1 / 64.0)
 
-    def test_max_len_default(self):
-        assert DlLearnerConfig(dim=8, alpha=0.1).max_len == 17
-
     def test_overrides_kept(self):
-        cfg = DlLearnerConfig(dim=8, alpha=0.1, tau=0.005, max_len=9)
-        assert cfg.tau == 0.005 and cfg.max_len == 9
+        assert DlLearnerConfig(dim=8, alpha=0.1, tau=0.005).tau == 0.005
 
     def test_invalid_rejected(self):
         with pytest.raises(PreconditionError):
@@ -115,8 +110,8 @@ class TestExactLearning:
 
 class TestAdaptivity:
     def test_empty_transcript_profile(self):
-        prof = adaptivity_profile(InteractivityTranscript())
-        assert prof == {"rounds": 0, "label_dependent_rounds": []}
+        t = InteractivityTranscript()
+        assert t.rounds_used() == 0 and t.label_dependent_rounds() == []
 
     def test_rounds_scale_with_list_length(self):
         # Alternating outputs prevent early default stops, so the learner
@@ -125,8 +120,7 @@ class TestAdaptivity:
         src = uniform_hypercube_source(5, target)
         oracle = ExactOracle(src)
         dl = learn_decision_list_sq(oracle, DlLearnerConfig(dim=5, alpha=0.1))
-        prof = adaptivity_profile(oracle.transcript)
-        assert prof["rounds"] >= 3
+        assert oracle.transcript.rounds_used() >= 3
         assert classification_error(dl, src) <= 0.1
 
     def test_label_dependent_queries_in_later_rounds(self):
@@ -134,9 +128,10 @@ class TestAdaptivity:
         src = uniform_hypercube_source(6, target)
         oracle = ExactOracle(src)
         learn_decision_list_sq(oracle, DlLearnerConfig(dim=6, alpha=0.1))
-        prof = adaptivity_profile(oracle.transcript)
-        assert prof["rounds"] >= 2
-        assert any(r > 0 for r in prof["label_dependent_rounds"])
+        dep_rounds = oracle.transcript.label_dependent_rounds()
+        assert oracle.transcript.rounds_used() >= 2
+        assert dep_rounds == sorted(set(dep_rounds))
+        assert any(r > 0 for r in dep_rounds)
 
     def test_halfspace_transcript_profile_contrasts(self):
         from localsq.core import make_margin_source
@@ -151,8 +146,7 @@ class TestAdaptivity:
         driver = HalfspaceDriver(SurrogateParams(gamma=0.3, alpha=0.1, dim=4),
                                  PsgdSettings(iterations=8))
         run_driver(driver, oracle.ask)
-        prof = adaptivity_profile(oracle.transcript)
-        assert prof["label_dependent_rounds"] == [0]
+        assert oracle.transcript.label_dependent_rounds() == [0]
 
 
 class TestDriverProtocol:

@@ -23,7 +23,6 @@ from localsq.core import (
     embed_hypercube,
     hypercube_rows,
     make_margin_source,
-    negate,
     random_decision_list,
     signp,
     uniform_hypercube_source,
@@ -35,7 +34,7 @@ def brute_error(h, src):
     """Oracle: per-point loop, no vectorization shared with the implementation."""
     total = 0.0
     for x, prob, label in zip(src.dist.matrix, src.dist.probs, src.labels):
-        if float(h(Point(x))) != float(label):
+        if float(h.labels_for(x[None, :])[0]) != float(label):
             total += float(prob)
     return total
 
@@ -168,7 +167,7 @@ class TestClassificationError:
 
     def test_negation_is_one(self):
         src = two_point_source()
-        assert classification_error(negate(src.target), src) == 1.0
+        assert classification_error(src.target.negate(), src) == 1.0
 
     def test_two_point_uniform_half(self):
         # One disagreement out of two equally likely points: 0.5.
@@ -177,10 +176,10 @@ class TestClassificationError:
         assert classification_error(h, src) == 0.5
         assert brute_error(h, src) == 0.5
 
-    def test_callable_hypothesis_accepted(self):
+    def test_hypothesis_without_labels_for_refused(self):
         src = two_point_source()
-        h = lambda p: 1
-        assert classification_error(h, src) == brute_error(h, src)
+        with pytest.raises(EvaluationError, match="labels_for"):
+            classification_error(lambda p: 1, src)
 
     def test_undefined_hypothesis_raises(self):
         src = two_point_source()
@@ -211,7 +210,8 @@ class TestExplicit:
         f = Explicit([[0.0, 0.5]], (-1,))
         X = np.array([[-0.0, 0.5], [0.0, 0.5]])
         assert f.labels_for(X).tolist() == [-1.0, -1.0]
-        assert f(Point(np.array([-0.0, 0.5]))) == -1
+        assert f.labels_for(Point(np.array([-0.0, 0.5])).coords[None, :]
+                            ).tolist() == [-1.0]
 
     def test_repeated_support_row_refused(self):
         with pytest.raises(PreconditionError, match="distinct"):
@@ -386,7 +386,7 @@ class TestDecisionList:
         for code in range(8):
             bits = [(code >> i) & 1 for i in range(3)]
             p = embed_hypercube(bits)
-            assert dl(p) == expected[code]
+            assert dl.labels_for(p.coords[None, :])[0] == expected[code]
 
     def test_negate_flips_everything(self):
         dl = DecisionList([(1, 0, -1)], default=1)
@@ -397,7 +397,7 @@ class TestDecisionList:
     def test_out_of_range_literal_raises(self):
         dl = DecisionList([(5, 1, 1)], default=-1)
         with pytest.raises(EvaluationError):
-            dl(embed_hypercube([0, 1]))
+            dl.labels_for(embed_hypercube([0, 1]).coords[None, :])
 
     def test_random_list_well_formed(self):
         dl = random_decision_list(8, 5, seed=13)
@@ -410,13 +410,14 @@ class TestNegation:
         src = make_margin_source(4, 0.2, 10, seed=6)
         f = src.target
         X = src.dist.matrix
-        assert np.array_equal(negate(negate(f)).labels_for(X), f.labels_for(X))
+        assert np.array_equal(f.negate().negate().labels_for(X),
+                              f.labels_for(X))
 
     def test_linear_threshold_negation_is_weight_flip(self):
         f = LinearThreshold(np.array([0.6, -0.3]), 0.1)
         g = LinearThreshold(np.array([-0.6, 0.3]), 0.1)
         X = np.array([[0.5, 0.5], [-0.2, 0.9], [0.0, -1.0]])
-        assert np.array_equal(negate(f).labels_for(X), g.labels_for(X))
+        assert np.array_equal(f.negate().labels_for(X), g.labels_for(X))
 
     @given(st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
@@ -424,7 +425,7 @@ class TestNegation:
         src = make_margin_source(3, 0.2, 7, seed=seed, probs="random")
         h = random_decision_list(3, 2, seed=seed + 1)
         e_pos = classification_error(h, src)
-        e_neg = classification_error(negate(h), src)
+        e_neg = classification_error(h.negate(), src)
         assert e_pos + e_neg == pytest.approx(1.0, abs=1e-15)
 
 

@@ -325,6 +325,20 @@ class TestWorstCorrelationDistribution:
         cert = worst_correlation_distribution(f, hset, pts)
         assert abs(cert.recompute_value(hset) - cert.value) <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_value_is_the_recomputed_value_exactly(self, seed):
+        # The value is taken from the matrices the LP was built on; it must
+        # be the certificate's own recomputation, bit for bit. Odd seeds use
+        # real-valued hypotheses instead of +-1 tables.
+        f, hset, points = correlation_instance(4, 6, seed)
+        if seed % 2:
+            rng = np.random.default_rng(seed)
+            hset = HypothesisSet(tuple(
+                table_function(points, rng.uniform(-1.0, 1.0, len(points)))
+                for _ in range(6)))
+        cert = worst_correlation_distribution(f, hset, points)
+        assert cert.value == cert.recompute_value(hset)
+
     def test_never_beats_grid(self):
         # The grid is a feasible subset, so the LP optimum is at most the
         # grid minimum on every instance, on-grid optimum or not.

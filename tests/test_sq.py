@@ -37,7 +37,6 @@ from localsq.sq import (
     StatQuery,
     TranscriptEntry,
     _column_means,
-    assert_label_non_adaptive,
     decompose,
     run_driver,
 )
@@ -358,19 +357,22 @@ class TestAdversarialOracle:
 
 class TestTranscript:
     def test_empty_is_non_adaptive(self):
-        assert assert_label_non_adaptive(InteractivityTranscript())
+        assert InteractivityTranscript().label_dependent_rounds() == []
 
     def test_label_dependent_after_round_zero_flagged(self):
         t = InteractivityTranscript()
         t.append(0, False, 0.1, [0.0])
         t.append(2, True, 0.1, [0.5])
-        assert not assert_label_non_adaptive(t)
+        t.append(2, True, 0.1, [0.5, 0.25])
+        t.append(3, False, 0.1, [0.0])
+        t.append(4, True, 0.1, [0.5])
+        assert t.label_dependent_rounds() == [2, 4]
 
     def test_round_zero_label_dependent_allowed(self):
         t = InteractivityTranscript()
         t.append(0, True, 0.1, [0.5])
         t.append(1, False, 0.1, [0.0])
-        assert assert_label_non_adaptive(t)
+        assert t.label_dependent_rounds() == [0]
 
     def test_decreasing_rounds_rejected(self):
         t = InteractivityTranscript()
