@@ -87,9 +87,9 @@ class DlDriver:
         tau = self.cfg.tau
         queries = [
             StatQuery(fn=lambda X, y, s=survive: s(X), tau=tau,
-                      label_dependent=False, name="residual-mass"),
+                      label_dependent=False),
             StatQuery(fn=lambda X, y, s=survive: s(X) * (1 + y) / 2, tau=tau,
-                      label_dependent=True, name="residual-pos"),
+                      label_dependent=True),
         ]
         self._fresh = sorted(
             v for v in range(self.cfg.dim)
@@ -98,13 +98,11 @@ class DlDriver:
         for v in self._fresh:
             queries.append(StatQuery(
                 fn=lambda X, y, s=survive, v=v: s(X) * (X[:, v] > 0.0),
-                tau=tau, label_dependent=False, name=f"fire-x{v}",
-            ))
+                tau=tau, label_dependent=False))
             queries.append(StatQuery(
                 fn=lambda X, y, s=survive, v=v:
                     s(X) * (X[:, v] > 0.0) * (1 + y) / 2,
-                tau=tau, label_dependent=True, name=f"pos-x{v}",
-            ))
+                tau=tau, label_dependent=True))
         return queries
 
     def begin(self):

@@ -189,7 +189,7 @@ def _probe_queries(t: int, tau: float) -> list:
         return (lambda X, y: y * X[:, c]) if dep else (lambda X, y: X[:, c])
 
     return [StatQuery(fn=probe(j % _PROBE_DIM, j % 2 == 1), tau=tau,
-                      label_dependent=j % 2 == 1, name=f"probe-{j}")
+                      label_dependent=j % 2 == 1)
             for j in range(t)]
 
 
@@ -226,6 +226,7 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
         seed=derive_seed(cfg.seed, "halfspace-run"),
     )
     error = classification_error(hyp, src)
+    learner = info.learner_json()
     report = {
         "command": "learn-halfspace",
         "seed": cfg.seed,
@@ -242,7 +243,7 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
         "rounds": info.rounds,
         "samples": info.samples_used,
         "error": error,
-        "learner": info.learner.to_json(),
+        "learner": learner,
     }
     _emit_json(outdir, "hypothesis.json", "hypothesis", hyp.to_json())
     _emit_json(outdir, "halfspace_report.json", "halfspace_report", report)
@@ -254,10 +255,10 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
          "error"],
         [["learn-halfspace", cfg.seed, cfg.mode, cfg.oracle,
           info.ambient_dim, info.working_dim, info.rounds,
-          info.learner.queries_total, info.learner.queries_label_dependent,
+          learner["queries_total"], learner["queries_label_dependent"],
           info.samples_used, error]],
     ))
-    lna = info.learner.label_non_adaptive
+    lna = info.label_non_adaptive
     print(f"learn-halfspace seed={cfg.seed}: error={error!r} "
           f"alpha={cfg.alpha!r} rounds={info.rounds} "
           f"label_non_adaptive={lna} out={outdir}")
@@ -290,16 +291,14 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
     if cfg.oracle == "exact":
         oracle = ExactOracle(src)
         learned = learn_decision_list_sq(oracle, learner_cfg)
-        transcript, proto = oracle.transcript, None
     else:
-        learned, proto = compile_sq_to_ldp(
+        learned, oracle = compile_sq_to_ldp(
             DlDriver(learner_cfg), src, cfg.epsilon, learner_cfg.tau,
             cfg.delta, seed=derive_seed(cfg.seed, "dl-ldp"))
-        transcript = proto.transcript
+    transcript = oracle.transcript
     rounds = transcript.rounds_used()
     dep_rounds = transcript.label_dependent_rounds()
-    queries = len(transcript)
-    samples = proto.samples_used if proto else 0
+    queries, samples = len(transcript), oracle.samples_used
     error = classification_error(learned, src)
     report = {
         "command": "learn-dl",

@@ -251,7 +251,6 @@ class ChannelOracle(TranscriptingOracle):
         self.t, self.tau = int(t), tau
         self.batch = channel.batch_size(self.t, tau, delta)
         self.ledger = PrivacyLedger(cap=channel.budget)
-        self.samples_used = 0
 
     def _answer(self, q: StatQuery) -> np.ndarray:
         first = len(self.transcript)

@@ -503,8 +503,7 @@ class SingleProbeDriver:
         def fn(X, y):
             return y * self._probe.labels_for(X)
 
-        return [StatQuery(fn=fn, tau=self._tau, label_dependent=True,
-                          name="probe")]
+        return [StatQuery(fn=fn, tau=self._tau, label_dependent=True)]
 
     def feed(self, answers):
         self._answer = float(answers[0])

@@ -8,12 +8,12 @@ is a constant vector, estimated once with one round of statistical queries.
 Projected subgradient descent on the split therefore touches labels only in
 its opening round. A seeded Gaussian random projection brings the ambient
 dimension down to O(log(1/delta) / gamma^2) first, at the cost of halving
-the margin.
+the margin. A run keeps the driver that ran and its oracle's transcript,
+and its report's learner object is read from the two.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -125,7 +125,7 @@ def grad_f1_query(w: np.ndarray, params: SurrogateParams,
         return sign_weight(w, X, params.gamma)[:, None] * X / scale
 
     return StatQuery(fn=fn, tau=query_tau, label_dependent=False,
-                     name="signsum-x", scale=scale, width=d)
+                     scale=scale, width=d)
 
 
 def grad_f2_query(params: SurrogateParams, query_tau: float) -> StatQuery:
@@ -136,7 +136,7 @@ def grad_f2_query(params: SurrogateParams, query_tau: float) -> StatQuery:
         return y[:, None] * X
 
     return StatQuery(fn=fn, tau=query_tau, label_dependent=True,
-                     name="label-x", scale=-2.0 * d, width=d)
+                     scale=-2.0 * d, width=d)
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,13 @@ def identity_projection(d: int) -> ProjectionMap:
     return ProjectionMap(matrix=np.eye(d), target_dim=d)
 
 
+def _check_map_size(d_prime: int, dim: int, gamma: float, delta: float):
+    if d_prime * dim > JL_MAX_ENTRIES:
+        raise PreconditionError(
+            f"gamma = {gamma!r} and delta = {delta!r} ask for a {d_prime:,} x "
+            f"{dim:,} JL map, above {JL_MAX_ENTRIES:,} entries")
+
+
 def jl_map(dim: int, gamma: float, delta: float,
            seed: int) -> ProjectionMap:
     """The seeded Gaussian map into dimension jl_dim(gamma, delta).
@@ -181,10 +188,7 @@ def jl_map(dim: int, gamma: float, delta: float,
     Entries are i.i.d. Gaussians scaled by 1/sqrt(d').
     """
     d_prime = jl_dim(gamma, delta)
-    if d_prime * dim > JL_MAX_ENTRIES:
-        raise PreconditionError(
-            f"gamma = {gamma!r} and delta = {delta!r} ask for a {d_prime:,} x "
-            f"{dim:,} JL map, above {JL_MAX_ENTRIES:,} entries")
+    _check_map_size(d_prime, dim, gamma, delta)
     rng = generator(derive_seed(seed, "jl-map"))
     matrix = rng.standard_normal((d_prime, dim)) / math.sqrt(d_prime)
     return ProjectionMap(matrix=matrix, target_dim=d_prime)
@@ -204,55 +208,6 @@ def jl_project(src: LabeledSource, gamma: float, delta: float,
     return proj, LabeledSource(dist, target)
 
 
-@dataclass(frozen=True)
-class PsgdSettings:
-    """Execution knobs for the descent loop.
-
-    iterations caps the executed horizon; the guarantee-grade horizon from
-    the closed-form formula is reported alongside but is far too large to
-    execute at interesting sizes. per_coord_tol is the tolerance requested
-    per gradient coordinate (the formula default is likewise impractical
-    under simulation, so compiled runs pass an explicit feasible value).
-    """
-
-    iterations: int | None = None
-    per_coord_tol: float | None = None
-
-    def resolve(self, params: SurrogateParams) -> tuple[int, float]:
-        formula_t = params.iterations_formula()
-        t = self.iterations if self.iterations is not None else min(
-            formula_t, 300
-        )
-        if t < 1:
-            raise PreconditionError("need at least one iteration")
-        tol = (
-            self.per_coord_tol
-            if self.per_coord_tol is not None
-            else params.coord_tolerance_formula()
-        )
-        if not tol > 0:
-            raise PreconditionError("tolerance must be positive")
-        return t, tol
-
-
-@dataclass
-class LearnerReport:
-    """Descent settings plus query accounting read from the run's transcript."""
-
-    dim: int
-    iterations_executed: int
-    iterations_formula: int
-    eta: float
-    per_coord_tol: float
-    queries_total: int
-    queries_label_dependent: int
-    rounds: int
-    label_non_adaptive: bool
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 class HalfspaceDriver:
     """Query driver running averaged projected subgradient descent.
 
@@ -261,11 +216,25 @@ class HalfspaceDriver:
     every later round carries only the label-independent block at the
     current iterate, so the protocol is label-non-adaptive by construction.
     feed takes one answer per coordinate, flat or grouped per block.
+
+    iterations caps the executed horizon, min(iterations_formula, 300) if
+    None: the guarantee-grade horizon is far too large to execute.
+    per_coord_tol is the tolerance per gradient coordinate,
+    coord_tolerance_formula() if None; simulated oracles pass a looser one.
     """
 
-    def __init__(self, params: SurrogateParams, settings: PsgdSettings):
+    def __init__(self, params: SurrogateParams, iterations: int | None = None,
+                 per_coord_tol: float | None = None):
         self.params = params
-        self.iterations, self.per_coord_tol = settings.resolve(params)
+        self.iterations_formula = params.iterations_formula()
+        self.iterations = (min(self.iterations_formula, 300)
+                           if iterations is None else iterations)
+        if self.iterations < 1:
+            raise PreconditionError("need at least one iteration")
+        self.per_coord_tol = (params.coord_tolerance_formula()
+                              if per_coord_tol is None else per_coord_tol)
+        if not self.per_coord_tol > 0:
+            raise PreconditionError("tolerance must be positive")
         self.eta = 1.0 / (params.lipschitz * math.sqrt(self.iterations))
         self.tau = self.per_coord_tol / (2.0 * params.dim)
         self.max_queries = params.dim * (self.iterations + 1)
@@ -319,9 +288,10 @@ class KnownDistributionDriver(HalfspaceDriver):
     point distribution, so the full protocol is one round of queries.
     """
 
-    def __init__(self, params: SurrogateParams, settings: PsgdSettings,
-                 X: np.ndarray, probs: np.ndarray):
-        super().__init__(params, settings)
+    def __init__(self, params: SurrogateParams, X: np.ndarray,
+                 probs: np.ndarray, iterations: int | None = None,
+                 per_coord_tol: float | None = None):
+        super().__init__(params, iterations, per_coord_tol)
         self.max_queries = params.dim
         self.X = np.asarray(X, dtype=float)
         self.probs = np.asarray(probs, dtype=float)
@@ -362,20 +332,38 @@ class HalfspaceHypothesis:
 
 @dataclass
 class HalfspaceRunInfo:
-    """Projection and learner reports, the run's transcript, and the
-    samples a simulated channel drew (0 for the exact oracle)."""
+    """The projection, the driver that ran, the run's transcript, and the
+    samples its oracle drew (0 for the exact oracle)."""
 
     ambient_dim: int
     working_dim: int
     gamma_effective: float
     projected: bool
-    learner: LearnerReport
+    driver: HalfspaceDriver
     transcript: InteractivityTranscript
-    samples_used: int = 0
+    samples_used: int
 
     @property
     def rounds(self) -> int:
         return self.transcript.rounds_used()
+
+    @property
+    def label_non_adaptive(self) -> bool:
+        """Whether every label-dependent answer is in round 0."""
+        return set(self.transcript.label_dependent_rounds()) <= {0}
+
+    def learner_json(self) -> dict:
+        """The report's learner object: the driver's descent settings and
+        the query counts, read from the transcript."""
+        d, blocks = self.driver, self.transcript.blocks
+        return {"dim": d.params.dim, "iterations_executed": d.iterations,
+                "iterations_formula": d.iterations_formula, "eta": d.eta,
+                "per_coord_tol": d.per_coord_tol,
+                "queries_total": len(self.transcript),
+                "queries_label_dependent": sum(
+                    len(b.answers) for b in blocks if b.label_dependent),
+                "rounds": self.rounds,
+                "label_non_adaptive": self.label_non_adaptive}
 
 
 def learn_halfspace(
@@ -386,7 +374,6 @@ def learn_halfspace(
     mode: str = "distribution_free",
     oracle: str = "exact",
     epsilon: float = 1.0,
-    settings: PsgdSettings | None = None,
     seed: int = 0,
 ) -> tuple[HalfspaceHypothesis, HalfspaceRunInfo]:
     """Project, then learn a margin-gamma halfspace with the chosen oracle.
@@ -394,79 +381,57 @@ def learn_halfspace(
     The projection is skipped (identity) when the map's dimension,
     jl_dim(gamma, delta/2), does not improve on the ambient one; otherwise
     the working margin drops to gamma/2 and delta is split evenly between
-    projection failure and oracle-simulation failure. In known_distribution mode the protocol is
-    one round regardless of oracle choice.
+    projection failure and oracle-simulation failure. In known_distribution
+    mode the protocol is one round regardless of oracle choice. The exact
+    oracle runs the driver's default horizon and tolerance; the simulated
+    ones run 60 iterations at tolerance 0.1 * dim.
     """
     if mode not in ("distribution_free", "known_distribution"):
         raise PreconditionError(f"unknown mode {mode!r}")
     if oracle not in ("exact", "ldp", "comm"):
         raise PreconditionError(f"unknown oracle {oracle!r}")
     d = src.dim
-    # The map is built at delta/2, so its dimension decides; the first call
-    # refuses a size with no finite value naming the delta given here.
-    if jl_dim(gamma, delta) < d and jl_dim(gamma, delta / 2.0) < d:
+    # The map is built at delta/2, so its dimension decides; the size
+    # refusals name the delta given here, not delta/2.
+    d_map = jl_dim(gamma, delta / 2.0) if jl_dim(gamma, delta) < d else d
+    if d_map < d:
+        _check_map_size(d_map, d, gamma, delta)
         proj, working = jl_project(src, gamma, delta / 2.0, seed)
-        gamma_eff = gamma / 2.0
-        sim_delta = delta / 2.0
-        projected = True
+        gamma_eff, sim_delta = gamma / 2.0, delta / 2.0
     else:
         proj, working = identity_projection(d), src
-        gamma_eff = gamma
-        sim_delta = delta
-        projected = False
+        gamma_eff, sim_delta = gamma, delta
     params = SurrogateParams(gamma=gamma_eff, alpha=alpha,
                              dim=proj.target_dim)
-    if settings is None:
-        if oracle == "exact":
-            settings = PsgdSettings()
-        else:
-            # Simulated oracles price precision in samples; these defaults
-            # keep batches affordable and were calibrated empirically.
-            settings = PsgdSettings(
-                iterations=60, per_coord_tol=0.1 * proj.target_dim
-            )
-
+    # Simulated oracles price precision in samples; these settings keep
+    # batches affordable and were calibrated empirically.
+    settings = {} if oracle == "exact" else {
+        "iterations": 60, "per_coord_tol": 0.1 * proj.target_dim}
     if mode == "known_distribution":
         driver = KnownDistributionDriver(
-            params, settings, working.dist.matrix, working.dist.probs
-        )
+            params, working.dist.matrix, working.dist.probs, **settings)
     else:
-        driver = HalfspaceDriver(params, settings)
+        driver = HalfspaceDriver(params, **settings)
 
     if oracle == "exact":
-        ex = ExactOracle(working)
-        run_driver(driver, ex.ask)
-        w_bar, transcript, samples = driver.result(), ex.transcript, 0
+        answered = ExactOracle(working)
+        run_driver(driver, answered.ask)
+        w_bar = driver.result()
+    elif oracle == "ldp":
+        w_bar, answered = compile_sq_to_ldp(
+            driver, working, epsilon, driver.tau, sim_delta,
+            seed=derive_seed(seed, "halfspace-ldp"))
     else:
-        if oracle == "ldp":
-            w_bar, protocol = compile_sq_to_ldp(
-                driver, working, epsilon, driver.tau, sim_delta,
-                seed=derive_seed(seed, "halfspace-ldp"))
-        else:
-            w_bar, protocol = compile_sq_to_comm(
-                driver, working, driver.tau, sim_delta,
-                seed=derive_seed(seed, "halfspace-comm"))
-        transcript, samples = protocol.transcript, protocol.samples_used
-    learner = LearnerReport(
-        dim=params.dim,
-        iterations_executed=driver.iterations,
-        iterations_formula=params.iterations_formula(),
-        eta=driver.eta,
-        per_coord_tol=driver.per_coord_tol,
-        queries_total=len(transcript),
-        queries_label_dependent=sum(
-            len(b.answers) for b in transcript.blocks if b.label_dependent),
-        rounds=transcript.rounds_used(),
-        label_non_adaptive=set(transcript.label_dependent_rounds()) <= {0},
-    )
+        w_bar, answered = compile_sq_to_comm(
+            driver, working, driver.tau, sim_delta,
+            seed=derive_seed(seed, "halfspace-comm"))
     info = HalfspaceRunInfo(
         ambient_dim=d,
         working_dim=proj.target_dim,
         gamma_effective=gamma_eff,
-        projected=projected,
-        learner=learner,
-        transcript=transcript,
-        samples_used=samples,
+        projected=d_map < d,
+        driver=driver,
+        transcript=answered.transcript,
+        samples_used=answered.samples_used,
     )
     return HalfspaceHypothesis(proj=proj, w=np.asarray(w_bar)), info
-

@@ -52,13 +52,13 @@ class StatQuery:
     not a sandbox: a comparison such as `y == 1` is just False, and a fn
     that tests `y is None` can still lie. scale records the factor a
     consumer multiplies the answer by when fn is a range-normalized
-    stand-in for a larger one.
+    stand-in for a larger one. An oracle reads nothing else, and the
+    transcript keeps label_dependent, tau and scale with the answers.
     """
 
     fn: QueryFn
     tau: float
     label_dependent: bool
-    name: str = ""
     scale: float = 1.0
     width: int = 1
 
@@ -223,7 +223,11 @@ def _column_means(src: LabeledSource, values: np.ndarray) -> np.ndarray:
 
 
 class TranscriptingOracle:
-    """Answer bookkeeping shared by every oracle; subclasses give _answer."""
+    """Answer bookkeeping shared by every oracle; subclasses give _answer.
+    samples_used counts the samples drawn to answer: 0 unless a simulated
+    channel draws them."""
+
+    samples_used = 0
 
     def __init__(self):
         self.transcript = InteractivityTranscript()

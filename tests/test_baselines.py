@@ -135,16 +135,12 @@ class TestAdaptivity:
 
     def test_halfspace_transcript_profile_contrasts(self):
         from localsq.core import make_margin_source
-        from localsq.margin_learner import (
-            HalfspaceDriver,
-            PsgdSettings,
-            SurrogateParams,
-        )
+        from localsq.margin_learner import HalfspaceDriver, SurrogateParams
 
         src = make_margin_source(4, 0.3, 15, seed=1)
         oracle = ExactOracle(src)
         driver = HalfspaceDriver(SurrogateParams(gamma=0.3, alpha=0.1, dim=4),
-                                 PsgdSettings(iterations=8))
+                                 iterations=8)
         run_driver(driver, oracle.ask)
         assert oracle.transcript.label_dependent_rounds() == [0]
 

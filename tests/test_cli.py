@@ -180,6 +180,20 @@ class TestConfig:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"{argv[1][2:]} = {float(argv[2])!r}" in err
 
+    def test_oversized_learner_map_refusal_names_the_delta_given(
+            self, tmp_path, capsys, monkeypatch):
+        # The learner draws its map at delta/2 = 0.025, an 11,805 x 20,000
+        # map, but the refusal names the delta the run was given.
+        def no_draws(seed):
+            raise AssertionError("the JL map was about to be drawn")
+
+        monkeypatch.setattr(margin_learner, "generator", no_draws)
+        assert main(["learn-halfspace", "--d", "20000", "--gamma", "0.1",
+                     "--support", "20", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: gamma = 0.1 and delta = 0.05 ask for a 11,805 x "
+                       "20,000 JL map, above 100,000,000 entries\n")
+
     def test_direct_config_refusal_names_the_key(self):
         with pytest.raises(PreconditionError, match="^tau: "):
             ExperimentConfig(command="learn-dl", tau=-1.0)

@@ -27,7 +27,6 @@ from localsq.comm import (
 from localsq.ldp import ldp_batch_size
 from localsq.margin_learner import (
     HalfspaceDriver,
-    PsgdSettings,
     SurrogateParams,
     sign_weight,
 )
@@ -192,8 +191,7 @@ class TestCompileToComm:
                 iterates.append(self.w.copy())
                 return nxt
 
-        driver = Recording(params, PsgdSettings(iterations=3,
-                                                per_coord_tol=3.0))
+        driver = Recording(params, iterations=3, per_coord_tol=3.0)
         tau = driver.per_coord_tol / (2.0 * d)
         batch = ONE_BIT.batch_size(driver.max_queries, tau, 0.1)
         S = SampleStream(src, driver.max_queries * batch, seed=7)

@@ -659,8 +659,8 @@ class TestCompileToLdp:
     def test_non_interactive_driver_single_round(self):
         src = two_point_source()
         queries = [
-            StatQuery(fn=first_coord, tau=0.2, label_dependent=False, name="a"),
-            StatQuery(fn=lambda X, y: y, tau=0.2, label_dependent=True, name="b"),
+            StatQuery(fn=first_coord, tau=0.2, label_dependent=False),
+            StatQuery(fn=lambda X, y: y, tau=0.2, label_dependent=True),
         ]
         driver = NonInteractiveDriver(queries)
         n = 2 * ldp_batch_size(2, 0.2, 0.2, 1.0)

@@ -487,7 +487,7 @@ class LabelBlindDriver:
 
     def begin(self):
         return [StatQuery(fn=lambda X, y: X[:, 0], tau=0.5,
-                          label_dependent=False, name="coords")]
+                          label_dependent=False)]
 
     def feed(self, answers):
         self._done = True

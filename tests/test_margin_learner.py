@@ -30,7 +30,6 @@ from localsq.margin_learner import (
     HalfspaceDriver,
     HalfspaceHypothesis,
     KnownDistributionDriver,
-    PsgdSettings,
     SurrogateParams,
     grad_f1_query,
     grad_f2_query,
@@ -380,7 +379,7 @@ class TestPsgd:
         src = make_margin_source(5, 0.3, 40, seed=3)
         params = SurrogateParams(gamma=0.3, alpha=0.1, dim=5)
         oracle = ExactOracle(src)
-        driver = HalfspaceDriver(params, PsgdSettings())
+        driver = HalfspaceDriver(params)
         run_driver(driver, oracle.ask)
         w_bar = driver.result()
         h = HalfspaceHypothesis(proj=identity_projection(5), w=w_bar)
@@ -391,8 +390,7 @@ class TestPsgd:
         src = make_margin_source(4, 0.3, 20, seed=6)
         params = SurrogateParams(gamma=0.3, alpha=0.1, dim=4)
         oracle = ExactOracle(src)
-        run_driver(HalfspaceDriver(params, PsgdSettings(iterations=10)),
-                   oracle.ask)
+        run_driver(HalfspaceDriver(params, iterations=10), oracle.ask)
         label_dep = [e for e in oracle.transcript.entries if e.label_dependent]
         assert len(label_dep) == 4
         assert all(e.round == 0 for e in label_dep)
@@ -401,8 +399,7 @@ class TestPsgd:
     def test_query_budget_matches_declaration(self):
         src = make_margin_source(4, 0.3, 20, seed=6)
         params = SurrogateParams(gamma=0.3, alpha=0.1, dim=4)
-        settings = PsgdSettings(iterations=12)
-        driver = HalfspaceDriver(params, settings)
+        driver = HalfspaceDriver(params, iterations=12)
         oracle = ExactOracle(src)
         run_driver(driver, oracle.ask)
         assert len(oracle.transcript) == driver.max_queries == 4 * 13
@@ -410,7 +407,7 @@ class TestPsgd:
     def test_iterates_stay_in_ball(self):
         src = make_margin_source(4, 0.3, 20, seed=8)
         params = SurrogateParams(gamma=0.3, alpha=0.1, dim=4)
-        driver = HalfspaceDriver(params, PsgdSettings(iterations=15))
+        driver = HalfspaceDriver(params, iterations=15)
         oracle = ExactOracle(src)
         queries = driver.begin()
         while queries is not None:
@@ -421,9 +418,43 @@ class TestPsgd:
 
     def test_result_before_completion_refused(self):
         params = SurrogateParams(gamma=0.3, alpha=0.1, dim=4)
-        driver = HalfspaceDriver(params, PsgdSettings(iterations=5))
+        driver = HalfspaceDriver(params, iterations=5)
         with pytest.raises(ProtocolError):
             driver.result()
+
+    @pytest.mark.parametrize("gamma,alpha,dim,iterations", [
+        (0.3, 0.1, 5, 300),  # the formula asks for about 4e8 iterations
+        (1.0, 0.99, 1, 262),  # ceil((16 / 0.99)^2), below the cap
+    ])
+    def test_defaults_resolve_to_the_formula_values(self, gamma, alpha, dim,
+                                                    iterations):
+        params = SurrogateParams(gamma=gamma, alpha=alpha, dim=dim)
+        driver = HalfspaceDriver(params)
+        assert driver.iterations == iterations
+        assert driver.iterations == min(params.iterations_formula(), 300)
+        assert driver.iterations_formula == params.iterations_formula()
+        assert driver.per_coord_tol == params.coord_tolerance_formula()
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"iterations": 0}, "need at least one iteration"),
+        ({"iterations": -3}, "need at least one iteration"),
+        ({"per_coord_tol": 0.0}, "tolerance must be positive"),
+        ({"per_coord_tol": -0.5}, "tolerance must be positive"),
+        ({"per_coord_tol": float("nan")}, "tolerance must be positive"),
+    ], ids=["zero-iterations", "negative-iterations", "zero-tolerance",
+            "negative-tolerance", "nan-tolerance"])
+    def test_refuses_no_iterations_and_a_non_positive_tolerance(
+            self, kwargs, message):
+        params = SurrogateParams(gamma=0.3, alpha=0.1, dim=4)
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            HalfspaceDriver(params, **kwargs)
+
+    def test_explicit_iterations_keep_the_horizon_refusal(self):
+        # The formula horizon is reported, so a run whose formula has no
+        # finite value is refused even when its executed horizon is given.
+        params = SurrogateParams(gamma=0.3, alpha=1e-300, dim=4)
+        with pytest.raises(PreconditionError, match="no finite descent"):
+            HalfspaceDriver(params, iterations=60, per_coord_tol=0.4)
 
 
 class TestKnownDistributionDriver:
@@ -431,8 +462,7 @@ class TestKnownDistributionDriver:
         src = make_margin_source(d, 0.3, 20, seed=6)
         params = SurrogateParams(gamma=0.3, alpha=0.1, dim=d)
         driver = KnownDistributionDriver(
-            params, PsgdSettings(iterations=iterations),
-            src.dist.matrix, src.dist.probs)
+            params, src.dist.matrix, src.dist.probs, iterations=iterations)
         return src, driver
 
     @pytest.mark.parametrize("n_answers", [1, 3, 5, 8])
@@ -460,13 +490,12 @@ class TestKnownDistributionDriver:
         # whichever oracle answered it.
         src = make_margin_source(5, 0.3, 20, seed=6)
         params = SurrogateParams(gamma=0.3, alpha=0.1, dim=5)
-        settings = PsgdSettings(iterations=3)
 
         def driver():
             if known:
-                return KnownDistributionDriver(params, settings,
-                                               src.dist.matrix, src.dist.probs)
-            return HalfspaceDriver(params, settings)
+                return KnownDistributionDriver(params, src.dist.matrix,
+                                               src.dist.probs, iterations=3)
+            return HalfspaceDriver(params, iterations=3)
 
         def blocks(transcript):
             return [(b.round, b.label_dependent, b.tolerance, b.scale,
@@ -494,7 +523,7 @@ class TestLearnHalfspace:
                                   oracle="exact", seed=12)
         assert classification_error(h, src) <= 0.1
         assert not info.projected
-        assert info.learner.label_non_adaptive
+        assert info.label_non_adaptive
 
     def test_known_distribution_single_round(self):
         for oracle in ("exact", "ldp"):
@@ -511,7 +540,7 @@ class TestLearnHalfspace:
         h, info = learn_halfspace(src, gamma=0.3, alpha=0.15, delta=0.05,
                                   oracle="ldp", epsilon=1.0, seed=4)
         assert classification_error(h, src) <= 0.15
-        assert info.learner.label_non_adaptive
+        assert info.label_non_adaptive
         label_dep = [q for q in info.transcript.records() if q["label_dep"]]
         assert len(label_dep) == info.working_dim
         assert {q["round"] for q in label_dep} == {0}
@@ -554,19 +583,54 @@ class TestLearnHalfspace:
         assert info.gamma_effective == 0.9
         assert classification_error(h, src) <= 0.15
 
-    @pytest.mark.parametrize("mode,total,rounds", [
-        ("distribution_free", 4 * 13, 12),
-        ("known_distribution", 4, 1),
-    ])
-    def test_report_counts_match_the_protocol(self, mode, total, rounds):
+    @pytest.mark.parametrize("mode,oracle", [
+        (mode, oracle) for mode in ("distribution_free", "known_distribution")
+        for oracle in ("exact", "ldp", "comm")])
+    def test_report_counts_match_the_protocol(self, mode, oracle):
+        # The learner object's counts are the transcript's records counted
+        # again: one record per answered coordinate.
         src = make_margin_source(4, 0.3, 20, seed=6)
         _, info = learn_halfspace(src, 0.3, 0.1, 0.05, mode=mode,
-                                  settings=PsgdSettings(iterations=12))
-        report = info.learner.to_json()
-        assert report["queries_total"] == total
-        assert report["queries_label_dependent"] == 4
-        assert report["rounds"] == rounds
-        assert report["label_non_adaptive"] is True
+                                  oracle=oracle, seed=6)
+        records = info.transcript.records()
+        dep_rounds = [r["round"] for r in records if r["label_dep"]]
+        report = info.learner_json()
+        assert report["queries_total"] == len(records)
+        assert report["queries_total"] == info.driver.max_queries
+        assert report["queries_label_dependent"] == len(dep_rounds) == 4
+        assert report["rounds"] == records[-1]["round"] + 1 == info.rounds
+        assert report["rounds"] == (1 if mode == "known_distribution"
+                                    else info.driver.iterations)
+        assert report["label_non_adaptive"] is (set(dep_rounds) <= {0})
+        assert report["label_non_adaptive"] is info.label_non_adaptive
+
+    def test_a_later_label_dependent_block_is_adaptive(self):
+        src = make_margin_source(4, 0.3, 20, seed=6)
+        _, info = learn_halfspace(src, 0.3, 0.1, 0.05)
+        last = info.transcript.blocks[-1]
+        info.transcript.append(last.round, True, last.tolerance, [0.0])
+        report = info.learner_json()
+        assert report["queries_label_dependent"] == 5
+        assert report["label_non_adaptive"] is info.label_non_adaptive is False
+
+    @pytest.mark.parametrize("oracle", ["exact", "ldp"])
+    def test_run_reports_the_settings_its_oracle_ran(self, oracle):
+        # The exact oracle runs the driver's defaults; a private run asks
+        # 60 iterations at tolerance 0.1 * dim per coordinate.
+        src = make_margin_source(5, 0.3, 30, seed=3)
+        _, info = learn_halfspace(src, 0.3, 0.15, 0.05, oracle=oracle, seed=3)
+        report = info.learner_json()
+        params = SurrogateParams(gamma=0.3, alpha=0.15, dim=5)
+        if oracle == "exact":
+            assert report["iterations_executed"] == 300
+            assert report["per_coord_tol"] == params.coord_tolerance_formula()
+            assert info.samples_used == 0
+        else:
+            assert report["iterations_executed"] == 60
+            assert report["per_coord_tol"] == 0.1 * info.working_dim == 0.5
+            assert info.samples_used > 0
+        assert report["iterations_formula"] == params.iterations_formula()
+        assert report["dim"] == info.working_dim == 5
 
     def test_invalid_mode_and_oracle_rejected(self):
         src = make_margin_source(5, 0.3, 10, seed=1)

@@ -60,9 +60,8 @@ def point_source(rows, labels, probs=None):
 
 def correlation_query(weights, tau=0.1):
     w = np.asarray(weights, dtype=float)
-    return StatQuery(
-        fn=lambda X, y: y * (X @ w), tau=tau, label_dependent=True, name="corr"
-    )
+    return StatQuery(fn=lambda X, y: y * (X @ w), tau=tau,
+                     label_dependent=True)
 
 
 class TestDecompose:
