@@ -227,6 +227,7 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
     )
     error = classification_error(hyp, src)
     learner = info.learner_json()
+    working_dim, ambient_dim = hyp.proj.matrix.shape
     report = {
         "command": "learn-halfspace",
         "seed": cfg.seed,
@@ -236,10 +237,10 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
         "alpha": cfg.alpha,
         "delta": cfg.delta,
         "epsilon": cfg.epsilon if cfg.oracle == "ldp" else None,
-        "ambient_dim": info.ambient_dim,
-        "working_dim": info.working_dim,
-        "gamma_effective": info.gamma_effective,
-        "projected": info.projected,
+        "ambient_dim": ambient_dim,
+        "working_dim": working_dim,
+        "gamma_effective": info.driver.params.gamma,
+        "projected": working_dim < ambient_dim,
         "rounds": info.rounds,
         "samples": info.samples_used,
         "error": error,
@@ -254,7 +255,7 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
          "rounds", "queries_total", "queries_label_dependent", "samples",
          "error"],
         [["learn-halfspace", cfg.seed, cfg.mode, cfg.oracle,
-          info.ambient_dim, info.working_dim, info.rounds,
+          ambient_dim, working_dim, info.rounds,
           learner["queries_total"], learner["queries_label_dependent"],
           info.samples_used, error]],
     ))
@@ -450,11 +451,9 @@ def _cmd_adversary(cfg: ExperimentConfig) -> None:
                 for _ in range(cfg.m)]
         hset = HypothesisSet(tuple(table_function(points, row) for row in rows))
         m, n_targets = cfg.m, len(targets)
-        res = correlation_cover_check(hset, targets, points, 1.0 / m)
-        found = not res.covered
-        witness, certificate = res.witness if found else (None, None)
-        if found:
-            witness_index = next(i for i, t in enumerate(targets) if t is witness)
+        witness = correlation_cover_check(hset, targets, points, 1.0 / m)
+        found = witness is not None
+        witness_index, certificate = witness if found else (None, None)
     report = {
         "command": "adversary-demo",
         "seed": cfg.seed,

@@ -54,8 +54,8 @@ class Point:
 
     Coordinates whose norm exceeds 1 by more than 1e-9 are rescaled onto
     the sphere with a logged warning rather than rejected; NaN and infinite
-    coordinates are refused. -0.0 is stored as 0.0, so points that compare
-    equal also hash equal.
+    coordinates are refused. -0.0 is stored as 0.0, so coordinates that
+    compare equal have equal bytes.
     """
 
     coords: np.ndarray
@@ -66,19 +66,6 @@ class Point:
         arr = _in_unit_ball(arr, "point coordinates")
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.coords.shape == other.coords.shape and bool(
-            np.all(self.coords == other.coords)
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.coords.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Point({np.array2string(self.coords, separator=', ')})"
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.coords, dtype=dtype, copy=copy)

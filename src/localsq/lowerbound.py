@@ -6,12 +6,13 @@ minimax value is a linear program over the probability simplex, solved here
 by a small self-contained dense two-phase simplex method (the instances
 have at most a few hundred variables, so no external solver is warranted).
 Phase 1 starts from the slack basis, and artificials are basis indices
-with no column, so both phases pivot one tableau [A | b]; x is solved from
-the final basis. Bland's rule, with its sequential tie-break, fixes the
-pivot sequence and so every bit of the result. A value below
-1/m certifies that an adversarial tolerance-1/m oracle can answer every
-query of a label-non-adaptive learner without revealing the sign of the
-target, which the fooling demo then exhibits end to end.
+with no column, so both phases pivot one tableau [A | b]; x and the duals
+that certify its optimality are solved from the final basis. Bland's
+rule, with its sequential tie-break, fixes the pivot sequence and so every
+bit of the result. A value below 1/m certifies that an adversarial
+tolerance-1/m oracle can answer every query of a label-non-adaptive
+learner without revealing the sign of the target, which the fooling demo
+then exhibits end to end.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "table_function",
     "AdversarialCertificate",
     "worst_correlation_distribution",
-    "CoverCheckResult",
     "correlation_cover_check",
     "NegationFoolingReport",
     "negation_fooling_demo",
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _PIVOT_TOL = 1e-9
-_GAP_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +66,11 @@ _GAP_TOL = 1e-7
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Primal solution, optimum, duals of the standardized rows, and gap."""
+    """Primal solution, optimum and duals of the standardized rows."""
 
     x: np.ndarray
     value: float
     dual: np.ndarray
-    duality_gap: float
     iterations: int
 
 
@@ -129,7 +127,9 @@ def _simplex_phase(T, basis, cost, max_iterations, dump_label):
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
              max_iterations=20000) -> LpSolution:
-    """Minimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0."""
+    """Minimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0. The
+    final basis's duals certify the optimum: a reduced cost below -1e-9
+    raises SolverError, with x and the duals in its dump."""
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.size
     blocks, rhs_parts = [], []
@@ -193,9 +193,13 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     x = x_full[:n]
     value = float(c @ x)
     dual = np.linalg.solve(A[:, basis].T, cost2[basis])
-    gap = abs(value - float(b @ dual))
-    return LpSolution(x=x, value=value, dual=dual, duality_gap=gap,
-                      iterations=iters)
+    reduced = float((cost2 - A.T @ dual).min())
+    if reduced < -_PIVOT_TOL:
+        raise SolverError(
+            f"final basis not optimal: reduced cost {reduced:.3g}",
+            dump={"x": x.tolist(), "dual": dual.tolist()},
+        )
+    return LpSolution(x=x, value=value, dual=dual, iterations=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +312,8 @@ def worst_correlation_distribution(f: TargetFunction, hset: HypothesisSet,
     matrix of rows, a sequence of Points, or a distribution on them).
 
     minimize t  s.t.  -t <= sum_x D(x) f(x) h_i(x) <= t  for every i,
-    sum_x D(x) = 1, D >= 0. Uniform D is always feasible; optimality is
-    certified through the duality gap.
+    sum_x D(x) = 1, D >= 0. Uniform D is always feasible; solve_lp
+    certifies the optimum by its reduced costs.
     """
     domain = _uniform(X)
     if hset.m < 1:
@@ -328,11 +332,6 @@ def worst_correlation_distribution(f: TargetFunction, hset: HypothesisSet,
         c=np.concatenate([np.zeros(n), [1.0]]),
         a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0],
     )
-    if sol.duality_gap > _GAP_TOL:
-        raise SolverError(
-            f"duality gap {sol.duality_gap:.3g} above {_GAP_TOL}",
-            dump={"x": sol.x.tolist(), "dual": sol.dual.tolist()},
-        )
     D = np.clip(sol.x[:n], 0.0, None)
     dist = FiniteDistribution(domain, D / D.sum())
     value = float(np.max(np.abs(H @ (dist.probs * labels))))
@@ -344,29 +343,23 @@ def worst_correlation_distribution(f: TargetFunction, hset: HypothesisSet,
     return AdversarialCertificate(dist=dist, value=value, target=f)
 
 
-@dataclass(frozen=True)
-class CoverCheckResult:
-    covered: bool
-    witness: tuple | None  # (target, certificate) when not covered
-
-
 def correlation_cover_check(hset: HypothesisSet, targets, X,
-                            threshold: float) -> CoverCheckResult:
-    """Does every target correlate with some hypothesis at `threshold`
-    under its own worst-case distribution?"""
+                            threshold: float):
+    """(index, certificate) of the first of `targets` that no hypothesis
+    correlates with at `threshold` under its own worst-case distribution,
+    or None when every target is covered."""
     targets = tuple(targets)
     if not targets:
         raise PreconditionError("the target class is empty")
     domain = _uniform(X)
     if hset.m == 0:
-        cert = AdversarialCertificate(dist=domain, value=0.0,
-                                      target=targets[0])
-        return CoverCheckResult(covered=False, witness=(targets[0], cert))
-    for f in targets:
+        return 0, AdversarialCertificate(dist=domain, value=0.0,
+                                         target=targets[0])
+    for i, f in enumerate(targets):
         cert = worst_correlation_distribution(f, hset, domain)
         if cert.value < threshold:
-            return CoverCheckResult(covered=False, witness=(f, cert))
-    return CoverCheckResult(covered=True, witness=None)
+            return i, cert
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +454,17 @@ def negation_fooling_demo(driver_factory, targets, X, m: int,
                 "label-dependent queries must declare tolerance >= 1/m"
             )
     hset = HypothesisSet(tuple(h for q in label_dep for h in _directions(q)))
-    cover = correlation_cover_check(hset, targets, domain, threshold)
-    if cover.covered:
+    witness = correlation_cover_check(hset, targets, domain, threshold)
+    if witness is None:
         return NegationFoolingReport(
             found=False, certificate=None, answers_target=(),
             answers_negation=(), identical_transcripts=False,
             error_target=0.0, error_negation=0.0,
         )
-    f, chosen = cover.witness
-    neg = f.negate()
+    index, chosen = witness
+    f = targets[index]
     runs = []
-    for target in (f, neg):
+    for target in (f, f.negate()):
         src = LabeledSource(chosen.dist, target)
         oracle = AdversarialOracle(src, m)
         answers, hypothesis = _run_once(driver_factory(), oracle)

@@ -141,10 +141,10 @@ def grad_f2_query(params: SurrogateParams, query_tau: float) -> StatQuery:
 
 @dataclass(frozen=True)
 class ProjectionMap:
-    """Seeded Gaussian projection onto a lower-dimensional ball."""
+    """Seeded Gaussian projection onto a lower-dimensional ball; the matrix
+    has shape (working, ambient) dimension, and np.eye(d) projects nothing."""
 
     matrix: np.ndarray
-    target_dim: int
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Project rows and radially rescale any image outside the unit ball."""
@@ -170,10 +170,6 @@ def jl_dim(gamma: float, delta: float) -> int:
                                 "give no finite JL dimension") from None
 
 
-def identity_projection(d: int) -> ProjectionMap:
-    return ProjectionMap(matrix=np.eye(d), target_dim=d)
-
-
 def _check_map_size(d_prime: int, dim: int, gamma: float, delta: float):
     if d_prime * dim > JL_MAX_ENTRIES:
         raise PreconditionError(
@@ -191,7 +187,7 @@ def jl_map(dim: int, gamma: float, delta: float,
     _check_map_size(d_prime, dim, gamma, delta)
     rng = generator(derive_seed(seed, "jl-map"))
     matrix = rng.standard_normal((d_prime, dim)) / math.sqrt(d_prime)
-    return ProjectionMap(matrix=matrix, target_dim=d_prime)
+    return ProjectionMap(matrix)
 
 
 def jl_project(src: LabeledSource, gamma: float, delta: float,
@@ -332,13 +328,9 @@ class HalfspaceHypothesis:
 
 @dataclass
 class HalfspaceRunInfo:
-    """The projection, the driver that ran, the run's transcript, and the
-    samples its oracle drew (0 for the exact oracle)."""
+    """The driver that ran (its params hold the working margin), the run's
+    transcript, and the samples its oracle drew (0 for the exact oracle)."""
 
-    ambient_dim: int
-    working_dim: int
-    gamma_effective: float
-    projected: bool
     driver: HalfspaceDriver
     transcript: InteractivityTranscript
     samples_used: int
@@ -399,14 +391,14 @@ def learn_halfspace(
         proj, working = jl_project(src, gamma, delta / 2.0, seed)
         gamma_eff, sim_delta = gamma / 2.0, delta / 2.0
     else:
-        proj, working = identity_projection(d), src
+        proj, working = ProjectionMap(np.eye(d)), src
         gamma_eff, sim_delta = gamma, delta
     params = SurrogateParams(gamma=gamma_eff, alpha=alpha,
-                             dim=proj.target_dim)
+                             dim=proj.matrix.shape[0])
     # Simulated oracles price precision in samples; these settings keep
     # batches affordable and were calibrated empirically.
     settings = {} if oracle == "exact" else {
-        "iterations": 60, "per_coord_tol": 0.1 * proj.target_dim}
+        "iterations": 60, "per_coord_tol": 0.1 * params.dim}
     if mode == "known_distribution":
         driver = KnownDistributionDriver(
             params, working.dist.matrix, working.dist.probs, **settings)
@@ -425,13 +417,6 @@ def learn_halfspace(
         w_bar, answered = compile_sq_to_comm(
             driver, working, driver.tau, sim_delta,
             seed=derive_seed(seed, "halfspace-comm"))
-    info = HalfspaceRunInfo(
-        ambient_dim=d,
-        working_dim=proj.target_dim,
-        gamma_effective=gamma_eff,
-        projected=d_map < d,
-        driver=driver,
-        transcript=answered.transcript,
-        samples_used=answered.samples_used,
-    )
+    info = HalfspaceRunInfo(driver=driver, transcript=answered.transcript,
+                            samples_used=answered.samples_used)
     return HalfspaceHypothesis(proj=proj, w=np.asarray(w_bar)), info

@@ -63,8 +63,9 @@ class StatQuery:
     width: int = 1
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise PreconditionError("tolerance must be positive")
+        if not 0 < self.tau < np.inf:  # NaN fails this test too
+            raise PreconditionError(
+                f"tolerance must be positive and finite, not {self.tau!r}")
         if self.width < 1:
             raise PreconditionError("a query needs at least one coordinate")
 

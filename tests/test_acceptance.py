@@ -294,7 +294,7 @@ def test_criterion_06_halfspace():
             assert transcript.label_dependent_rounds() == [0], (oracle, i)
             dep = sum(len(b.answers) for b in transcript.blocks
                       if b.label_dependent)
-            assert dep == info.working_dim == d, (oracle, i, dep)
+            assert dep == hyp.proj.matrix.shape[0] == d, (oracle, i, dep)
             if classification_error(hyp, src) <= alpha:
                 good += 1
         assert good >= need, (oracle, good)

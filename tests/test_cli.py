@@ -406,6 +406,15 @@ class TestLearnDl:
         assert "protocol" not in report
         assert report["queries"] == len(read_lines(out, "transcript.jsonl"))
 
+    def test_infinite_tau_refused_writing_nothing(self, tmp_path, capsys):
+        # An infinite tolerance has no JSON spelling, so the first query
+        # refuses it and no report or transcript is written.
+        out = tmp_path / "dl"
+        assert main(["learn-dl", "--tau", "inf", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: tolerance must be positive and finite, not inf\n")
+        assert not out.exists()
+
 
 class TestEstimateMean:
     def test_default_sweep_meets_delta(self, tmp_path):

@@ -99,7 +99,6 @@ class TestSolveLp:
         sol = solve_lp(c=[-1.0], a_ub=[[1.0]], b_ub=[5.0])
         assert sol.x[0] == pytest.approx(5.0)
         assert sol.value == pytest.approx(-5.0)
-        assert sol.duality_gap <= 1e-7
 
     def test_equality_constraint(self):
         sol = solve_lp(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
@@ -165,6 +164,24 @@ class TestSolveLp:
         assert all(type(v) is int for v in dump["basis"])
         assert json.loads(json.dumps(dump)) == dump
 
+    def test_unoptimal_final_basis_refused(self, monkeypatch):
+        # Phase 2 stopped after 0 pivots leaves x = 0 on the slack basis for
+        # min -x s.t. x <= 5, whose optimum is -5. Its reduced cost of -1
+        # gives it away, and the dump carries x and the duals as plain JSON.
+        phase = lowerbound._simplex_phase
+
+        def no_phase_2(T, basis, cost, max_iterations, dump_label):
+            if dump_label == "phase 2":
+                return 0
+            return phase(T, basis, cost, max_iterations, dump_label)
+
+        monkeypatch.setattr(lowerbound, "_simplex_phase", no_phase_2)
+        with pytest.raises(SolverError, match="reduced cost -1") as info:
+            solve_lp(c=[-1.0], a_ub=[[1.0]], b_ub=[5.0])
+        dump = info.value.dump
+        assert dump == {"x": [0.0], "dual": [0.0]}
+        assert json.loads(json.dumps(dump)) == dump
+
     def test_no_constraints_rejected(self):
         with pytest.raises(PreconditionError):
             solve_lp(c=[1.0])
@@ -172,8 +189,9 @@ class TestSolveLp:
     @given(st.integers(0, 2000))
     @settings(max_examples=40, deadline=None)
     def test_random_feasible_programs_certified(self, seed):
-        # Box-bounded feasible LPs: optimum exists, gap must certify it, and
-        # HiGHS must find the same optimum, also with an equality row added.
+        # Box-bounded feasible LPs: optimum exists, the solver's reduced
+        # costs certify it (or it refuses), and HiGHS must find the same
+        # optimum, also with an equality row added.
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(seed)
         n, k = rng.integers(2, 5), rng.integers(1, 4)
@@ -185,7 +203,6 @@ class TestSolveLp:
         a_ub = np.vstack([A, box])
         b_ub = np.concatenate([b, np.ones(n)])
         sol = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub)
-        assert sol.duality_gap <= 1e-7
         assert np.all(sol.x >= -1e-9)
         assert np.all(A @ sol.x <= b + 1e-9)
         assert sol.value <= c @ x0 + 1e-9
@@ -196,7 +213,6 @@ class TestSolveLp:
         a_eq = rng.uniform(-1, 1, size=(1, n))
         b_eq = a_eq @ x0
         sol = solve_lp(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-        assert sol.duality_gap <= 1e-7
         assert np.allclose(a_eq @ sol.x, b_eq, atol=1e-9)
         highs = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                         method="highs")
@@ -399,7 +415,7 @@ class TestWorstCorrelationDistribution:
     def test_degenerate_cube_programs_match_highs(self, labels):
         # The 6-bit cube with 64 random +-1 hypotheses: all 128 inequality
         # rows have b = 0, so the program is highly degenerate. The
-        # constant -1 target once ended in a duality gap.
+        # constant -1 target once made the solver refuse.
         linprog = pytest.importorskip("scipy.optimize").linprog
         points = hypercube_rows(6)
         rows = generator(0).choice([-1.0, 1.0], (64, 64))
@@ -443,16 +459,27 @@ class TestCoverCheck:
         pts = three_points()
         f = Explicit(pts, (1, -1, 1))
         hset = HypothesisSet((table_function(pts, (1, -1, 1)),))
-        res = correlation_cover_check(hset, (f, f.negate()), pts, 0.5)
-        assert res.covered and res.witness is None
+        assert correlation_cover_check(hset, (f, f.negate()), pts, 0.5) \
+            is None
+
+    def test_witness_index_past_a_covered_target(self):
+        # h carries the hypothesis's own labels, so it stays covered; f is
+        # suppressed by splitting the mass between its first two points.
+        pts = three_points()
+        h, f = Explicit(pts, (1, -1, 1)), Explicit(pts, (1, 1, 1))
+        hset = HypothesisSet((table_function(pts, (1, -1, 1)),))
+        index, cert = correlation_cover_check(hset, (h, f), pts, 0.5)
+        assert index == 1
+        assert cert.target is f
+        assert cert.value < 0.5
 
     def test_empty_set_never_covers(self):
         pts = three_points()
         f = Explicit(pts, (1, -1, 1))
-        res = correlation_cover_check(HypothesisSet(()), (f,), pts, 0.5)
-        assert not res.covered
-        target, cert = res.witness
-        assert target is f
+        index, cert = correlation_cover_check(HypothesisSet(()), (f,), pts,
+                                              0.5)
+        assert index == 0
+        assert cert.target is f
         assert cert.value == 0.0
 
     def test_two_bit_lists_match_grid_verdict(self):
@@ -466,14 +493,10 @@ class TestCoverCheck:
         for _ in range(6):
             rows = rng.choice([-1.0, 1.0], size=(2, 4))
             hset = HypothesisSet(tuple(table_function(pts, r) for r in rows))
-            res = correlation_cover_check(hset, lists, pts, 0.4)
-            brute_covered = True
-            for dl in lists:
-                labels = dl.labels_for(matrix)
-                if grid_minimax(rows * labels, grid) < 0.4 - 1e-9:
-                    brute_covered = False
-                    break
-            assert res.covered == brute_covered
+            witness = correlation_cover_check(hset, lists, pts, 0.4)
+            brute = next((i for i, dl in enumerate(lists) if grid_minimax(
+                rows * dl.labels_for(matrix), grid) < 0.4 - 1e-9), None)
+            assert (None if witness is None else witness[0]) == brute
 
 
 class LabelBlindDriver:

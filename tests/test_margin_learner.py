@@ -30,10 +30,10 @@ from localsq.margin_learner import (
     HalfspaceDriver,
     HalfspaceHypothesis,
     KnownDistributionDriver,
+    ProjectionMap,
     SurrogateParams,
     grad_f1_query,
     grad_f2_query,
-    identity_projection,
     jl_dim,
     jl_map,
     jl_project,
@@ -369,7 +369,7 @@ class TestJlProjection:
         assert good_seeds >= 8
 
     def test_identity_projection_shape(self):
-        proj = identity_projection(3)
+        proj = ProjectionMap(np.eye(3))
         X = np.array([[0.1, 0.2, 0.3]])
         assert np.array_equal(proj.apply(X), X)
 
@@ -382,7 +382,7 @@ class TestPsgd:
         driver = HalfspaceDriver(params)
         run_driver(driver, oracle.ask)
         w_bar = driver.result()
-        h = HalfspaceHypothesis(proj=identity_projection(5), w=w_bar)
+        h = HalfspaceHypothesis(proj=ProjectionMap(np.eye(5)), w=w_bar)
         assert classification_error(h, src) <= 0.1
         assert oracle.transcript.label_dependent_rounds() == [0]
 
@@ -522,7 +522,7 @@ class TestLearnHalfspace:
         h, info = learn_halfspace(src, gamma=0.3, alpha=0.1, delta=0.05,
                                   oracle="exact", seed=12)
         assert classification_error(h, src) <= 0.1
-        assert not info.projected
+        assert h.proj.matrix.shape == (20, 20)
         assert info.label_non_adaptive
 
     def test_known_distribution_single_round(self):
@@ -542,7 +542,7 @@ class TestLearnHalfspace:
         assert classification_error(h, src) <= 0.15
         assert info.label_non_adaptive
         label_dep = [q for q in info.transcript.records() if q["label_dep"]]
-        assert len(label_dep) == info.working_dim
+        assert len(label_dep) == h.proj.matrix.shape[0]
         assert {q["round"] for q in label_dep} == {0}
         assert info.samples_used > 0
 
@@ -565,9 +565,8 @@ class TestLearnHalfspace:
         src = make_margin_source(200, 0.8, 50, seed=5)
         h, info = learn_halfspace(src, gamma=0.8, alpha=0.2, delta=0.3,
                                   oracle="exact", seed=5)
-        assert info.projected
-        assert info.working_dim == jl_dim(0.8, 0.15) == 95
-        assert info.gamma_effective == pytest.approx(0.4)
+        assert h.proj.matrix.shape == (jl_dim(0.8, 0.15), 200) == (95, 200)
+        assert info.driver.params.gamma == pytest.approx(0.4)
         assert classification_error(h, src) <= 0.2
 
     def test_no_projection_when_the_map_would_not_shrink(self):
@@ -578,9 +577,8 @@ class TestLearnHalfspace:
         src = make_margin_source(130, 0.9, 40, seed=7)
         h, info = learn_halfspace(src, 0.9, 0.15, 0.05, oracle="exact",
                                   seed=7)
-        assert not info.projected
-        assert info.working_dim == info.ambient_dim == 130
-        assert info.gamma_effective == 0.9
+        assert h.proj.matrix.shape == (130, 130)
+        assert info.driver.params.gamma == 0.9
         assert classification_error(h, src) <= 0.15
 
     @pytest.mark.parametrize("mode,oracle", [
@@ -618,8 +616,9 @@ class TestLearnHalfspace:
         # The exact oracle runs the driver's defaults; a private run asks
         # 60 iterations at tolerance 0.1 * dim per coordinate.
         src = make_margin_source(5, 0.3, 30, seed=3)
-        _, info = learn_halfspace(src, 0.3, 0.15, 0.05, oracle=oracle, seed=3)
+        h, info = learn_halfspace(src, 0.3, 0.15, 0.05, oracle=oracle, seed=3)
         report = info.learner_json()
+        working_dim = h.proj.matrix.shape[0]
         params = SurrogateParams(gamma=0.3, alpha=0.15, dim=5)
         if oracle == "exact":
             assert report["iterations_executed"] == 300
@@ -627,10 +626,10 @@ class TestLearnHalfspace:
             assert info.samples_used == 0
         else:
             assert report["iterations_executed"] == 60
-            assert report["per_coord_tol"] == 0.1 * info.working_dim == 0.5
+            assert report["per_coord_tol"] == 0.1 * working_dim == 0.5
             assert info.samples_used > 0
         assert report["iterations_formula"] == params.iterations_formula()
-        assert report["dim"] == info.working_dim == 5
+        assert report["dim"] == working_dim == 5
 
     def test_invalid_mode_and_oracle_rejected(self):
         src = make_margin_source(5, 0.3, 10, seed=1)
