@@ -125,12 +125,16 @@ class ExperimentConfig:
     class_spec: str | None = None
 
     def __post_init__(self):
-        # Each set field, paired with the command, must meet the config
-        # schema: one rule for flags, config files and direct callers.
+        # Each set field, paired with the command, must be finite and meet
+        # the config schema, whose bounds let NaN through: one rule for
+        # flags, config files and direct callers.
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None:
                 key = _KEY.get(f.name, f.name)
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise PreconditionError(
+                        f"{key}: {value!r} is not a finite number")
                 validate("config", {"command": self.command, key: value},
                          PreconditionError, f"{key}: ")
 
@@ -153,7 +157,7 @@ def _fmt(v) -> str:
 def _csv_text(name: str, columns: list, rows: list) -> str:
     lines = [f"# localsq-csv v1 {name}", ",".join(columns)]
     for row in rows:
-        cells = [_fmt(v) for v in row]
+        cells = [_fmt(row[c]) for c in columns]
         for cell in cells:
             if "," in cell or "\n" in cell:
                 raise ProtocolError(f"CSV cell {cell!r} needs quoting")
@@ -254,10 +258,7 @@ def _cmd_learn_halfspace(cfg: ExperimentConfig) -> None:
         ["command", "seed", "mode", "oracle", "ambient_dim", "working_dim",
          "rounds", "queries_total", "queries_label_dependent", "samples",
          "error"],
-        [["learn-halfspace", cfg.seed, cfg.mode, cfg.oracle,
-          ambient_dim, working_dim, info.rounds,
-          learner["queries_total"], learner["queries_label_dependent"],
-          info.samples_used, error]],
+        [learner | report],
     ))
     lna = info.label_non_adaptive
     print(f"learn-halfspace seed={cfg.seed}: error={error!r} "
@@ -299,7 +300,6 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
     transcript = oracle.transcript
     rounds = transcript.rounds_used()
     dep_rounds = transcript.label_dependent_rounds()
-    queries, samples = len(transcript), oracle.samples_used
     error = classification_error(learned, src)
     report = {
         "command": "learn-dl",
@@ -313,8 +313,8 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
         "epsilon": cfg.epsilon if cfg.oracle == "ldp" else None,
         "rounds": rounds,
         "label_dependent_rounds": dep_rounds,
-        "queries": queries,
-        "samples": samples,
+        "queries": len(transcript),
+        "samples": oracle.samples_used,
         "error": error,
         "target": target.to_json(),
         "learned": learned.to_json(),
@@ -326,8 +326,7 @@ def _cmd_learn_dl(cfg: ExperimentConfig) -> None:
         "learn-dl",
         ["command", "seed", "dim", "length", "alpha", "oracle", "rounds",
          "label_dependent_rounds", "queries", "samples", "error"],
-        [["learn-dl", cfg.seed, cfg.dim, cfg.length, cfg.alpha, cfg.oracle,
-          rounds, dep_rounds, queries, samples, error]],
+        [report],
     ))
     print(f"learn-dl seed={cfg.seed}: error={error!r} alpha={cfg.alpha!r} "
           f"rounds={rounds} label_dependent_rounds={dep_rounds} "
@@ -367,7 +366,8 @@ def _cmd_estimate_mean(cfg: ExperimentConfig) -> None:
     _write(outdir, "estimate_trials.csv", _csv_text(
         "estimate-mean",
         ["trial", "max_abs_deviation", "within_tau"],
-        [[i, dev, dev <= cfg.tau] for i, dev in enumerate(deviations)],
+        [{"trial": i, "max_abs_deviation": dev, "within_tau": dev <= cfg.tau}
+         for i, dev in enumerate(deviations)],
     ))
     print(f"estimate-mean seed={cfg.seed}: channel={cfg.channel} "
           f"batch={batch} failure_fraction={fraction!r} "
@@ -523,7 +523,8 @@ def _cmd_jl_check(cfg: ExperimentConfig) -> None:
     _write(outdir, "jl_trials.csv", _csv_text(
         "jl-check",
         ["trial", "violating_fraction", "ok"],
-        [[i, f, f <= cfg.delta] for i, f in enumerate(fractions)],
+        [{"trial": i, "violating_fraction": f, "ok": f <= cfg.delta}
+         for i, f in enumerate(fractions)],
     ))
     print(f"jl-check seed={cfg.seed}: ok_fraction={ok_fraction!r} "
           f"target=0.9 out={outdir}")
@@ -616,10 +617,10 @@ def _cmd_separation(cfg: ExperimentConfig) -> None:
                         if demo.certificate else None),
     }
     _emit_json(outdir, "separation.json", "separation_report", report)
-    columns = ["algorithm", "class", "rounds", "label_dependent_rounds",
-               "samples", "final_error"]
     _write(outdir, "separation.csv", _csv_text(
-        "separation", columns, [[row[c] for c in columns] for row in rows],
+        "separation", ["algorithm", "class", "rounds",
+                       "label_dependent_rounds", "samples", "final_error"],
+        rows,
     ))
     for row in rows:
         print(f"separation seed={cfg.seed}: {row['algorithm']:>16} "

@@ -4,13 +4,15 @@ Everything downstream (oracles, compilers, learners, the lower-bound lab)
 works against the types defined here: points in the unit ball, explicit
 finite distributions, target function classes closed under negation, labeled
 sources, and seeded sample streams. A point set is one checked (n, d) matrix
-(`point_rows`); `Point` is for a single point. Distributions are explicit
-and finite on purpose: oracle-equality and lower-bound demonstrations need
-exact means, not estimates.
+(`point_rows`); `Point` is for a single point. Every lookup table, a target
+or a lower-bound direction, is one `RowTable` keyed by row bytes.
+Distributions are explicit and finite on purpose: oracle-equality and
+lower-bound demonstrations need exact means, not estimates.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -241,38 +243,57 @@ class DecisionList(TargetFunction):
         }
 
 
-class Explicit(TargetFunction):
-    """A lookup table labeling row i of `support` with labels[i].
+@functools.lru_cache(maxsize=1)
+def _row_index(n: int, width: int, data: bytes) -> dict:
+    """Row key -> position of the n rows in data. The tables of one domain
+    (a class, a hypothesis set) are built in a row and share it, read-only."""
+    rows = np.frombuffer(data).reshape(n, width)
+    return dict(zip(_row_keys(rows).tolist(), range(n)))
 
-    The support is a checked point set (`point_rows`, or Points), so its
-    rows are not checked again: they are keyed by their bytes, with -0.0
-    read as 0.0 in the table and in every query.
-    """
 
-    def __init__(self, support, labels: Iterable[int]):
-        rows = _as_rows(support) + 0.0
-        labels = [int(v) for v in labels]
-        if len(labels) != len(rows):
+class RowTable:
+    """Values on explicit rows (a matrix, or a sequence of rows or Points):
+    row i holds values[i], keyed by its float64 bytes with -0.0 read as 0.0,
+    so the rows must be distinct. Called on a batch X, it returns the values
+    of X's rows; any other row, of another width too, is an EvaluationError."""
+
+    def __init__(self, rows, values: Iterable):
+        rows = _as_rows(rows) + 0.0
+        values = list(values)
+        if len(values) != len(rows):
             raise PreconditionError(
-                f"{len(labels)} labels for {len(rows)} support points")
-        if not labels:
+                f"{len(values)} labels for {len(rows)} support points")
+        if not values:
             raise PreconditionError("empty table")
-        if any(v not in (-1, 1) for v in labels):
-            raise PreconditionError("labels must be -1 or +1")
-        self._table = dict(zip(_row_keys(rows).tolist(), labels))
-        if len(self._table) != len(labels):
+        # Zero-width rows have no bytes to key by, so they are never distinct.
+        self._index = _row_index(*rows.shape, rows.tobytes())
+        if len(self._index) != len(values):
             raise PreconditionError("support entries must be distinct")
+        self._values = np.array(values, dtype=float)
 
-    def labels_for(self, X: np.ndarray) -> np.ndarray:
-        keys = _row_keys(np.asarray(X, dtype=float) + 0.0).tolist()
+    def __call__(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        keys = _row_keys(X + 0.0).tolist() if X.shape[1] else [None] * len(X)
         try:
-            return np.array([self._table[k] for k in keys], dtype=float)
+            return self._values.take([self._index[k] for k in keys])
         except KeyError:
             raise EvaluationError("function undefined on a queried point") from None
 
+
+class Explicit(RowTable, TargetFunction):
+    """A RowTable of -1 and +1 labels: the target labeling row i of
+    `support` with labels[i]."""
+
+    def __init__(self, support, labels: Iterable[int]):
+        super().__init__(support, labels)
+        if not (np.abs(self._values) == 1.0).all():  # NaN fails too
+            raise PreconditionError("labels must be -1 or +1")
+
+    labels_for = RowTable.__call__
+
     def negate(self) -> "Explicit":
         flipped = Explicit.__new__(Explicit)
-        flipped._table = {k: -v for k, v in self._table.items()}
+        flipped._index, flipped._values = self._index, -self._values
         return flipped
 
     def to_json(self) -> dict:

@@ -27,18 +27,12 @@ from .core import (
     FiniteDistribution,
     LabeledSource,
     Point,
+    RowTable,
     TargetFunction,
-    _as_rows,
-    _row_keys,
     classification_error,
     hypercube_rows,
 )
-from .errors import (
-    EvaluationError,
-    PreconditionError,
-    ProtocolError,
-    SolverError,
-)
+from .errors import PreconditionError, ProtocolError, SolverError
 from .sq import AdversarialOracle, StatQuery, checked_values, decompose, \
     run_driver
 
@@ -206,43 +200,13 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
 # Hypothesis sets and adversarial certificates.
 
 
-def table_function(points, values):
-    """A [-1,1]-valued lookup function over explicit points: a matrix of
-    rows or a sequence of Points.
-
-    A queried row matches a point when their float64 bytes are equal, so
-    -0.0 does not match 0.0. When a point repeats, its last value wins.
-    """
-    rows = _as_rows(points)
-    table = np.asarray(values, dtype=float).reshape(-1)
-    if not len(rows) or table.size != len(rows):
-        raise PreconditionError("need one value for each of at least one point")
-    if not np.abs(table).max() <= 1.0 + 1e-12:  # NaN fails this test too
+def table_function(points, values) -> RowTable:
+    """The RowTable of [-1,1] values over explicit points: a matrix of rows
+    or a sequence of Points."""
+    values = [float(v) for v in values]
+    if not all(abs(v) <= 1.0 + 1e-12 for v in values):  # NaN fails too
         raise PreconditionError("table values must lie in [-1, 1]")
-    width = rows.shape[1]
-    if width == 0:
-        raise PreconditionError("table points must have a nonzero dimension")
-    # A stable sort keeps repeated points in order, so the rightmost match
-    # is the last occurrence.
-    keys = _row_keys(rows)
-    order = keys.argsort(kind="stable")
-    keys, table = keys[order], table[order]
-
-    def fn(X):
-        X = np.asarray(X, dtype=float)
-        if X.shape[0] == 0:
-            return np.empty(0)
-        X = X.reshape(X.shape[0], -1)
-        if X.shape[1] != width:
-            raise EvaluationError("function undefined on a queried point")
-        queried = _row_keys(X)
-        # -1 (below every key) wraps to the largest key, which differs.
-        at = keys.searchsorted(queried, side="right") - 1
-        if not np.all(keys[at] == queried):
-            raise EvaluationError("function undefined on a queried point")
-        return table[at]
-
-    return fn
+    return RowTable(points, values)
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,7 @@ def jl_project(src: LabeledSource, gamma: float, delta: float,
     """
     proj = jl_map(src.dim, gamma, delta, seed)
     dist = FiniteDistribution(proj.apply(src.dist.matrix), src.dist.probs)
-    target = Explicit(dist.matrix, [int(v) for v in src.labels])
+    target = Explicit(dist.matrix, src.labels)
     return proj, LabeledSource(dist, target)
 
 

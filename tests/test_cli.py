@@ -116,6 +116,27 @@ class TestConfig:
             "error: seed: -3 is less than the minimum of 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, key, value", [
+        (["learn-dl", "--tau", "nan"], "tau", "nan"),
+        (["learn-halfspace", "--gamma", "nan"], "gamma", "nan"),
+        (["jl-check", "--delta", "nan"], "delta", "nan"),
+        (["estimate-mean", "--epsilon", "inf"], "epsilon", "inf"),
+        (["learn-dl", "--config", "nan.json"], "tau", "nan"),
+    ], ids=["learn-dl", "learn-halfspace", "jl-check", "estimate-mean",
+            "config-file"])
+    def test_non_finite_number_refused_naming_its_key(
+            self, tmp_path, capsys, argv, key, value):
+        # Schema bounds let NaN through and JSON files may spell NaN, so
+        # the config refuses a non-finite number before any work.
+        (tmp_path / "nan.json").write_text('{"tau": NaN}')
+        argv = [str(tmp_path / a) if a.endswith(".json") else a
+                for a in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {key}: {value} is not a finite number\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["compile-report"], ["estimate-mean", "--trials", "5"],
         ["learn-dl", "--oracle", "ldp"],
@@ -130,7 +151,7 @@ class TestConfig:
         assert main(argv + ["--epsilon", "inf",
                             "--out", str(tmp_path / "inf")]) == 2
         assert capsys.readouterr().err == (
-            "error: epsilon must be positive and finite\n")
+            "error: epsilon: inf is not a finite number\n")
 
     @pytest.mark.parametrize("argv", [
         ["compile-report"], ["estimate-mean", "--trials", "5"],
@@ -147,14 +168,17 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(
             f"error: epsilon = {float(epsilon)!r} ")
 
-    @pytest.mark.parametrize("argv", [
-        ["compile-report", "--tau", "1e-300"], ["estimate-mean", "--tau", "inf"],
-    ], ids=lambda a: a[0])
-    def test_extreme_tau_refused_naming_tau(self, tmp_path, capsys, argv):
-        # No batch size exists: tau * tau underflows to 0, or tau is
-        # infinite. Both are refused before any work, naming tau.
+    @pytest.mark.parametrize("argv, prefix", [
+        (["compile-report", "--tau", "1e-300"], "error: tau = 1e-300 "),
+        (["estimate-mean", "--tau", "inf"],
+         "error: tau: inf is not a finite number\n"),
+    ], ids=["compile-report", "estimate-mean"])
+    def test_extreme_tau_refused_naming_tau(self, tmp_path, capsys, argv,
+                                            prefix):
+        # No batch size exists: tau * tau underflows to 0, or tau is not
+        # finite. Both are refused before any work, naming tau.
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: tau = {argv[2]} ")
+        assert capsys.readouterr().err.startswith(prefix)
 
     @pytest.mark.parametrize("argv", [
         ["learn-halfspace", "--gamma", "1e-200"],
@@ -407,12 +431,12 @@ class TestLearnDl:
         assert report["queries"] == len(read_lines(out, "transcript.jsonl"))
 
     def test_infinite_tau_refused_writing_nothing(self, tmp_path, capsys):
-        # An infinite tolerance has no JSON spelling, so the first query
-        # refuses it and no report or transcript is written.
+        # An infinite tolerance has no JSON spelling, so the config refuses
+        # it and no report or transcript is written.
         out = tmp_path / "dl"
         assert main(["learn-dl", "--tau", "inf", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: tolerance must be positive and finite, not inf\n")
+            "error: tau: inf is not a finite number\n")
         assert not out.exists()
 
 

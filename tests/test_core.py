@@ -197,12 +197,10 @@ class TestClassificationError:
 
 
 class TestExplicit:
-    def test_signed_zero_looked_up_like_zero(self):
-        f = Explicit([[0.0, 0.5]], (-1,))
-        X = np.array([[-0.0, 0.5], [0.0, 0.5]])
-        assert f.labels_for(X).tolist() == [-1.0, -1.0]
-        assert f.labels_for(Point(np.array([-0.0, 0.5])).coords[None, :]
-                            ).tolist() == [-1.0]
+    @pytest.mark.parametrize("labels", [(1.7, -1), (1, -0.5), (1, np.nan)])
+    def test_non_sign_label_refused_not_truncated(self, labels):
+        with pytest.raises(PreconditionError, match="labels must be -1 or"):
+            Explicit([[0.0, 0.5], [0.5, 0.0]], labels)
 
     def test_repeated_support_row_refused(self):
         with pytest.raises(PreconditionError, match="distinct"):

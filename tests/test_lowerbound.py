@@ -230,10 +230,25 @@ class TestTableFunction:
         X = np.vstack([b.coords, a.coords, b.coords])
         assert fn(X).tolist() == [-0.5, 1.0, -0.5]
 
-    def test_last_duplicate_wins(self):
-        a, b = self.points()
-        fn = table_function((a, b, a, a), (1, -1, 0.25, -0.75))
-        assert fn(np.vstack([a.coords, b.coords])).tolist() == [-0.75, -1.0]
+    @pytest.mark.parametrize("make", [Explicit, table_function])
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 0.5], [0.5, 0.0], [0.0, 0.5]],
+        [[0.0, 0.5], [-0.0, 0.5]],
+    ], ids=["repeat", "signed-zero"])
+    def test_repeated_row_refused(self, make, rows):
+        with pytest.raises(PreconditionError,
+                           match="support entries must be distinct"):
+            make(rows, [1] * len(rows))
+
+    def test_tables_on_one_domain_share_their_row_index(self):
+        # A hypothesis set or a class holds many tables on one domain; each
+        # keeps only its values, not a copy of the row keys.
+        points = self.points()
+        tables = [table_function(points, (1, -1)),
+                  table_function(np.vstack(points), (0.5, 0.25)),
+                  Explicit(points, (1, 1))]
+        tables.append(tables[-1].negate())
+        assert len({id(t._index) for t in tables}) == 1
 
     def test_missing_point_raises(self):
         a, b = self.points()
@@ -243,12 +258,37 @@ class TestTableFunction:
         with pytest.raises(EvaluationError):
             fn(np.array([[0.0, 0.5, 0.0]]))
 
-    def test_negative_zero_is_a_different_point(self):
-        # Points match by their bytes, and -0.0 has other bytes than 0.0.
-        a, _ = self.points()
-        fn = table_function((a,), (1,))
-        with pytest.raises(EvaluationError):
-            fn(np.array([[-0.0, 0.5]]))
+    @pytest.mark.parametrize("make", [Explicit, table_function])
+    @pytest.mark.parametrize("row", [[0.0, 0.5], [-0.0, 0.5]])
+    def test_signed_zero_looked_up_like_zero(self, make, row):
+        # Rows match by their bytes with -0.0 read as 0.0, in the table
+        # and in the query.
+        table = make([row], (-1,))
+        X = np.array([[-0.0, 0.5], [0.0, 0.5]])
+        assert table(X).tolist() == [-1.0, -1.0]
+        assert table(Point(np.array([-0.0, 0.5])).coords[None, :]
+                     ).tolist() == [-1.0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_explicit_and_table_function_look_up_alike(self, seed):
+        # One table behind both: the same values on shuffled subsets of a
+        # random point set, the same refusals off it and at another width.
+        rng = generator(seed)
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        points = rng.uniform(-0.4, 0.4, (n, d))
+        labels = [int(v) for v in 2 * rng.integers(0, 2, n) - 1]
+        f, fn = Explicit(points, labels), table_function(points, labels)
+        for _ in range(5):
+            X = points[rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+            assert np.array_equal(f.labels_for(X), fn(X))
+            assert np.array_equal(f.negate().labels_for(X), -fn(X))
+        assert np.array_equal(f.negate().labels_for(points), -np.array(labels))
+        for off in (points[:1] + 1.0, np.zeros((1, d + 1)), np.zeros((1, 0))):
+            for lookup in (f.labels_for, fn):
+                with pytest.raises(EvaluationError):
+                    lookup(off)
+        for lookup in (f.labels_for, fn):
+            assert lookup(np.zeros((0, d))).shape == (0,)
 
     def test_empty_batch(self):
         a, _ = self.points()
