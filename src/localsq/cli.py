@@ -33,7 +33,7 @@ from .errors import LocalSqError, PreconditionError, ProtocolError, \
 from .ldp import ChannelOracle, compile_sq_to_ldp, ldp_channel
 from .lowerbound import HypothesisSet, correlation_cover_check, \
     run_shipped_negation_demo, solve_lp, table_function
-from .margin_learner import jl_dim, jl_map, learn_halfspace
+from .margin_learner import ProjectionMap, jl_dim, jl_map, learn_halfspace
 from .schemas import SCHEMAS, validate, validate_artifact, \
     validate_config
 from .sq import ExactOracle, StatQuery
@@ -125,18 +125,21 @@ class ExperimentConfig:
     class_spec: str | None = None
 
     def __post_init__(self):
-        # Each set field, paired with the command, must be finite and meet
-        # the config schema, whose bounds let NaN through: one rule for
-        # flags, config files and direct callers.
+        # One rule for flags, config files and direct callers.
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                key = _KEY.get(f.name, f.name)
-                if isinstance(value, float) and not np.isfinite(value):
-                    raise PreconditionError(
-                        f"{key}: {value!r} is not a finite number")
-                validate("config", {"command": self.command, key: value},
-                         PreconditionError, f"{key}: ")
+            if getattr(self, f.name) is not None:
+                _check_key(self.command, _KEY.get(f.name, f.name),
+                           getattr(self, f.name))
+
+
+def _check_key(command: str, key: str, value) -> None:
+    """Refuse one set config value, naming its key: a non-finite number,
+    or one the config schema refuses when paired with the command alone
+    (the schema's bounds let NaN through)."""
+    if isinstance(value, float) and not np.isfinite(value):
+        raise PreconditionError(f"{key}: {value!r} is not a finite number")
+    validate("config", {"command": command, key: value}, PreconditionError,
+             f"{key}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +500,12 @@ def _cmd_jl_check(cfg: ExperimentConfig) -> None:
                                  derive_seed(cfg.seed, "jl-source", i))
         proj = jl_map(src.dim, cfg.gamma, cfg.delta,
                       derive_seed(cfg.seed, "jl-map", i))
+        # Margins read only |Mx| and <Mx, Mw>, which any F with F^T F = M^T M
+        # gives alike: a tall map becomes the d x d Cholesky factor of its
+        # Gram matrix. A map with d' <= d is used as it is.
+        m = proj.matrix
+        if m.shape[0] > m.shape[1]:
+            proj = ProjectionMap(np.linalg.cholesky(m.T @ m).T)
         image = proj.matrix @ src.target.w
         norm = float(np.linalg.norm(image))
         if norm == 0.0:
@@ -694,6 +703,9 @@ def _build_config(args) -> ExperimentConfig:
     file_obj = {}
     if args.config:
         file_obj = _read_json(args.config)
+        for key in SCHEMAS["config"]["properties"]:  # the per-key rule first
+            if isinstance(file_obj, dict) and file_obj.get(key) is not None:
+                _check_key(command, key, file_obj[key])
         validate_config(file_obj)
         file_command = file_obj.get("command", command)
         if file_command != command:

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from localsq import cli, margin_learner, schemas
@@ -21,6 +22,7 @@ from localsq.cli import COMMANDS, ExperimentConfig, _build_config, \
     _build_parser, _emit_transcript, main, separation_experiment
 from localsq.core import make_margin_source
 from localsq.errors import ContractViolation, PreconditionError, SolverError
+from localsq.margin_learner import ProjectionMap
 from localsq.schemas import SCHEMAS, validate_artifact, validate_config
 from localsq.sq import ExactOracle, StatQuery
 
@@ -98,8 +100,27 @@ class TestConfig:
         assert main(["learn-dl", "--config", str(cfg),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: invalid config: 'comm' is not one of "
-            "['exact', 'ldp']\n")
+            "error: oracle: 'comm' is not one of ['exact', 'ldp']\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, err", [
+        ('{"alpha": -Infinity}', "alpha: -inf is not a finite number"),
+        ('{"d": NaN}', "d: nan is not a finite number"),
+        ('{"alpha": 2}', "alpha: 2 is greater than or equal to the "
+                         "maximum of 1"),
+        ('{"command": "learn-dl", "oracle": "comm"}',
+         "oracle: 'comm' is not one of ['exact', 'ldp']"),
+    ], ids=["-Infinity", "NaN", "alpha-range", "oracle-comm"])
+    def test_config_file_refusal_names_its_key(self, tmp_path, capsys, text,
+                                               err):
+        # Each file key meets the flags' per-key rule before the whole-file
+        # schema check, which names no key.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["learn-dl", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
         assert not out.exists()
 
     def test_learn_dl_comm_flag_refused_before_work(self, tmp_path, capsys):
@@ -598,6 +619,69 @@ class TestJlCheck:
         assert rows[0] == "# localsq-csv v1 jl-check"
         assert len(rows) == 12
 
+    @staticmethod
+    def margins(proj, X, w, y):
+        """A jl-check trial's margins: X through apply, along the unit image
+        of w."""
+        image = proj.matrix @ w
+        return proj.apply(X) @ (image / np.linalg.norm(image)) * y
+
+    def test_gram_factor_gives_the_projected_margins(self):
+        # Tall maps (d' > d), scaled so that some images leave the unit
+        # ball and apply rescales them.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(2, 30))
+            m = rng.standard_normal((int(rng.integers(d + 1, 300)), d))
+            m *= 1.3 / np.sqrt(m.shape[0])
+            X = rng.standard_normal((60, d))
+            X *= rng.uniform(0.0, 1.0, (60, 1)) / np.linalg.norm(
+                X, axis=1, keepdims=True)
+            w = rng.standard_normal(d)
+            y = np.where(X @ w >= 0.0, 1.0, -1.0)
+            assert np.any(np.linalg.norm(X @ m.T, axis=1) > 1.0)
+            factor = ProjectionMap(np.linalg.cholesky(m.T @ m).T)
+            np.testing.assert_allclose(
+                self.margins(factor, X, w, y),
+                self.margins(ProjectionMap(m), X, w, y),
+                rtol=0.0, atol=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("gamma, delta", [
+        (0.9, 0.4), (0.7, 0.3), (0.5, 0.2)])
+    def test_violating_fractions_are_the_projected_ones(
+            self, tmp_path, monkeypatch, gamma, delta):
+        # 300 trials at d = 10 (d' = 37, 79 and 206) against the margins of
+        # the maps they draw. Sources of margin gamma/2 put points on both
+        # sides of the gamma/2 test, and maps scaled by 1.25 push images
+        # out of the unit ball.
+        drawn = []
+
+        def source(d, gamma, support, seed):
+            drawn.append(make_margin_source(d, gamma / 2, support, seed))
+            return drawn[-1]
+
+        def scaled_map(*args):
+            drawn.append(ProjectionMap(
+                1.25 * margin_learner.jl_map(*args).matrix))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "make_margin_source", source)
+        monkeypatch.setattr(cli, "jl_map", scaled_map)
+        assert main(["jl-check", "--d", "10", "--gamma", str(gamma),
+                     "--delta", str(delta), "--support", "40",
+                     "--trials", "300", "--out", str(tmp_path)]) == 0
+        expected, rescaled = [], 0
+        for src, proj in zip(drawn[::2], drawn[1::2]):
+            X = src.dist.matrix
+            rescaled += np.count_nonzero(
+                np.linalg.norm(X @ proj.matrix.T, axis=1) > 1.0)
+            margins = self.margins(proj, X, src.target.w, src.labels)
+            expected.append(float(np.mean(margins < gamma / 2)))
+        rows = read_lines(tmp_path, "jl_trials.csv")[2:]
+        assert [float(r.split(",")[1]) for r in rows] == expected
+        assert len(expected) == 300 and rescaled > 0
+        assert 0.0 < np.mean(expected) < 1.0
+
 
 class TestCompileReport:
     def test_ldp_report_schema(self, tmp_path):
@@ -809,6 +893,14 @@ GOLDEN_DIGESTS = {
     "jl-check": (["jl-check", "--seed", "0"], {
         "jl_report.json": "663dee80231e93dade4cc3aacf9f059ee2ee0b1e3e062b5ffdaa5607a98ed25f",
         "jl_trials.csv": "bf7780215dc9e4908f541989aa381160f77114129d0e3e4ff6dc2940e32a1fc4",
+    }),
+    # A map that shrinks (d' = 37 < d = 200) projects through itself;
+    # recorded while every jl-check trial still projected through its map.
+    "jl-check-shrinking": (["jl-check", "--d", "200", "--gamma", "0.9",
+                            "--delta", "0.4", "--support", "500",
+                            "--trials", "20", "--seed", "0"], {
+        "jl_report.json": "c2d1472058457a41e26463f59977f4787a275660ceb9c3400da35414589ccfa9",
+        "jl_trials.csv": "105a6e4e8666f520b937370d460c24309d3a095e339ad59130be4faee3d81720",
     }),
 }
 
